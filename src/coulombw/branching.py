@@ -1,6 +1,6 @@
 """Principal-branch powers and logarithms with explicit cut-edge tags.
 
-All multivalued functions are taken on C \ (-inf, 0].  Points on the
+All multivalued functions are taken on C \\ (-inf, 0].  Points on the
 negative real axis are admitted only as limits from above or below,
 carried around explicitly as an UpperEdge/LowerEdge tag (arg = +pi or
 -pi).  A tag is portable and testable, unlike signed zeros.
@@ -72,7 +72,7 @@ def lower_edge(x: float) -> ComplexValue:
 
 
 def principal_ln(z) -> complex:
-    """ln z on C \ (-inf,0], honoring edge tags (arg = +-pi on the cut)."""
+    """ln z on C \\ (-inf,0], honoring edge tags (arg = +-pi on the cut)."""
     zv = as_cvalue(z)
     zc = complex(zv)
     if zc == 0:

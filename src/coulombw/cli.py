@@ -64,10 +64,6 @@ def parse_complex(s: str) -> complex:
         raise _UsageError("cannot parse complex literal %r" % s)
 
 
-def _fmt(x: float) -> float:
-    return float(x)
-
-
 def _emit(record: dict, fmt: str, csv_header: list, out):
     if fmt == "jsonl":
         out.write(json.dumps(record, sort_keys=True, separators=(",", ":"),
@@ -117,8 +113,8 @@ def _cmd_eval(args, out) -> int:
         "command": "eval",
         "inputs": {"function": args.function, "beta": str(beta), "m": str(m),
                    "z": str(zc), "branch": args.branch},
-        "value": {"re": _fmt(ev.value.real), "im": _fmt(ev.value.imag)},
-        "err_est": _fmt(ev.err_est),
+        "value": {"re": ev.value.real, "im": ev.value.imag},
+        "err_est": ev.err_est,
         "method": ev.method.value,
         "region": region.tag.value,
         "diagnostics": {"accuracy_loss": 1.0 if ev.accuracy_loss else 0.0},
@@ -159,7 +155,7 @@ def _cmd_eigen(args, out) -> int:
             "k": {"re": pt.k_or_mu.real, "im": pt.k_or_mu.imag},
             "lambda": {"re": pt.lam.real, "im": pt.lam.imag},
             "regime": pt.regime.value,
-            "residual": _fmt(pt.residual),
+            "residual": pt.residual,
         }, "jsonl", [], out)
     _emit({"command": "eigen", "summary": {"seeds": res.seeds, "converged": res.converged,
                                            "rejected": res.rejected, "found": len(res.points)}},

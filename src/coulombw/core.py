@@ -4,7 +4,7 @@ Everything downstream (Whittaker/Bessel evaluators, spectral formulas) is
 built on these.  Gamma uses a 15-term Lanczos approximation on the right
 half-plane and the reflection formula on the left; ln Gamma uses the
 Stirling series after an upward recurrence lift, which keeps it continuous
-on C \ (-inf, 0]; psi and psi' use recurrence-plus-asymptotics.
+on C \\ (-inf, 0]; psi and psi' use recurrence-plus-asymptotics.
 """
 
 from __future__ import annotations
@@ -179,7 +179,7 @@ def _log_sin_pi(z: complex) -> complex:
 
 
 def log_gamma(z) -> complex:
-    """Branch-consistent ln Gamma, continuous on C \ (-inf, 0].
+    """Branch-consistent ln Gamma, continuous on C \\ (-inf, 0].
 
     exp(log_gamma(z)) == gamma(z); Stirling expansion after an upward
     recurrence lift on Re(z) >= 1/2, reflection with an unwound ln sin

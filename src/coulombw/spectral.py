@@ -12,17 +12,20 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
+import mpmath as mp
+
 from .branching import as_cvalue, principal_ln, principal_pow, lower_edge, upper_edge
 from .core import EULER_GAMMA, digamma, gamma, is_nonpositive_int, rgamma, trigamma
 from .errors import PreconditionError, SpectrumHit
 from .params import SNAP_TOL, WhittakerParams, dist_to_natural
-from .whittaker import whittaker_h, whittaker_i_ext, whittaker_k, whittaker_x
+from .whittaker import _memo, _rerun_dps, whittaker_h, whittaker_i_ext, whittaker_k, whittaker_x
 from .bessel1 import bessel1_h
 
 INFINITY = complex(math.inf, 0.0)
 
 _SPECTRUM_TOL = 1e-12
 _LATTICE_TOL = 1e-10
+_ZETA_CANCEL = 30.0   # zeta's sum is redone in mpmath beyond this cancellation
 
 
 def is_infinite(v) -> bool:
@@ -293,12 +296,15 @@ def xi_zero(beta, nu, k) -> complex:
     return -digamma(0.5 + d) - 2 * EULER_GAMMA - cmath.log(2 * k) + complex(nu)
 
 
+@_memo
 def zeta(beta, m, k) -> complex:
     """Normalization function for the eigenprojections; even in m.
 
     Analytic in k, so the positive-energy values are obtained by feeding
     k = -+ i mu.  Near m in {0, +-1/2} the continuous trigamma extensions
-    are used.
+    are used.  For generic m the sum 2m + d psi(1/2+m-d) - d psi(1/2-m-d)
+    cancels where |d| = |beta/2k| is large; beyond _ZETA_CANCEL it is
+    recomputed in mpmath at the precision the measured cancellation needs.
     """
     beta, m, k = complex(beta), complex(m), complex(k)
     d = beta / (2 * k)
@@ -306,8 +312,16 @@ def zeta(beta, m, k) -> complex:
         return 1 + d * trigamma(0.5 - d)
     if abs(abs(m) - 0.5) <= SNAP_TOL and abs(m.imag) <= SNAP_TOL:
         return -(1 + d / 2 * trigamma(1 - d) + d / 2 * trigamma(-d))
-    return (cmath.pi * (2 * m + d * digamma(0.5 + m - d) - d * digamma(0.5 - m - d))
-            / cmath.sin(2 * cmath.pi * m))
+    p_plus = d * digamma(0.5 + m - d)
+    p_minus = d * digamma(0.5 - m - d)
+    total = 2 * m + p_plus - p_minus
+    size = abs(2 * m) + abs(p_plus) + abs(p_minus)
+    if size > _ZETA_CANCEL * abs(total):
+        with mp.workdps(_rerun_dps(size / max(abs(total), 1e-300))):
+            dm, mm = mp.mpc(beta) / (2 * mp.mpc(k)), mp.mpc(m)
+            return complex(mp.pi * (2 * mm + dm * mp.digamma(0.5 + mm - dm)
+                                    - dm * mp.digamma(0.5 - mm - dm)) / mp.sin(2 * mp.pi * mm))
+    return cmath.pi * total / cmath.sin(2 * cmath.pi * m)
 
 
 # ---------------------------------------------------------------------------

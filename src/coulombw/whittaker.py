@@ -11,13 +11,23 @@ integer, Laguerre closed forms on the polynomial lattices.  Inside the
 series regime the combinations defining K and X cancel like e^|z|; the
 evaluator estimates the required working precision up front and runs the
 same series code over mpmath when doubles cannot deliver the target,
-reporting the achieved accuracy in err_est either way.
+reporting the achieved accuracy in err_est either way.  A run whose own
+err_est shows more cancellation than the estimate allowed for (the z^beta
+and Gamma-factor scales) is re-run at the precision that err_est asks for.
+
+I, K and X are memoized on the exact bits of their inputs (see _memo), so
+resolvent and projection tables, which reuse the same few values at every
+entry, and the derivative ladder, which reuses the value just returned,
+evaluate each distinct point once.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import struct
+
 import mpmath as mp
 
 from .branching import Branch, ComplexValue, as_cvalue, principal_ln, principal_pow, rotate_half_pi, rotate_pi
@@ -28,6 +38,48 @@ from .params import SNAP_TOL, WARN_TOL, WhittakerParams, dist_to_integer, dist_t
 SERIES_CAP = 40.0          # |z| above which the direct series is refused
 _MAX_TERMS = 4000
 _LOG10E = 0.4342944819032518
+_ESCALATE_REL = 1e-13      # err_est / |value| above which a run is repeated
+_MEMO_SIZE = 512           # entries per memoized function; a 6x6 table needs <= 18
+
+
+# ---------------------------------------------------------------------------
+# memo on exact inputs
+
+def _exact_key(args):
+    """The IEEE bits of every number in args, plus the branch tags.
+
+    Floats are never compared: 0.0 == -0.0, yet the sign of a zero
+    imaginary part picks the side of the cut (arg = +pi or -pi).
+    """
+    parts, tags = [], []
+    for a in args:
+        if isinstance(a, WhittakerParams):
+            parts += (a.beta, a.m)
+        else:
+            av = as_cvalue(a)
+            parts.append(complex(av.re, av.im))
+            tags.append(av.branch)
+    bits = struct.pack("<%dd" % (2 * len(parts)), *(x for c in parts for x in (c.real, c.imag)))
+    return bits, tuple(tags)
+
+
+def _memo(fn):
+    """Bounded LRU memo of a pure function of numbers and WhittakerParams.
+
+    Keyed by _exact_key, so a hit returns exactly what the call would have
+    computed.  Exceptions are not cached.  The results (frozen Evaluations,
+    complex numbers) are immutable, so sharing them between callers is
+    safe.  ``cache_clear`` empties the table, e.g. before timing.
+    """
+    cached = functools.lru_cache(maxsize=_MEMO_SIZE)(lambda key, args: fn(*args))
+
+    @functools.wraps(fn)
+    def memoized(*args):
+        return cached(_exact_key(args), args)
+
+    memoized.cache_info = cached.cache_info
+    memoized.cache_clear = cached.cache_clear
+    return memoized
 
 
 # ---------------------------------------------------------------------------
@@ -126,20 +178,40 @@ class _MB:
 
 
 def _run(digits: float, fn):
-    """Run fn(backend) in doubles if they suffice, else in mpmath."""
-    if digits <= 18.5:
-        return fn(_FB)
-    dps = int(math.ceil(digits)) + 4
+    """Run fn(backend) -> (value, err) in doubles if they suffice, else in
+    mpmath; repeat once at a higher precision if err shows it was needed.
+
+    err / (eps |value|) is the cancellation the run actually met, so
+    17 + log10 of it digits deliver a double-accurate value.
+    """
+    dps = None if digits <= 18.5 else int(math.ceil(digits)) + 4
+    (val, err), eps = _run_at(dps, fn)
+    if err > _ESCALATE_REL * abs(val) and val != 0:
+        (val, err), _ = _run_at(_rerun_dps(err / (eps * abs(val))), fn)
+    return val, err
+
+
+def _rerun_dps(cancellation: float) -> int:
+    """mpmath digits that leave a result accurate to double precision after
+    a sum whose pieces were `cancellation` times larger than the result."""
+    return int(math.ceil(17.0 + math.log10(cancellation))) + 4
+
+
+def _run_at(dps, fn):
+    """fn(backend) and the backend's eps: doubles for dps None, else mpmath."""
+    if dps is None:
+        return fn(_FB), _FB.eps
     with mp.workdps(dps):
-        return fn(_MB(dps))
+        be = _MB(dps)
+        return fn(be), be.eps
 
 
-def _digits_i(z: complex, extra: float = 0.0) -> float:
-    return 17.0 + _LOG10E * (abs(z) - z.real) + extra
+def _digits_i(z: complex) -> float:
+    return 17.0 + _LOG10E * (abs(z) - z.real)
 
 
-def _digits_k(z: complex, extra: float = 0.0) -> float:
-    return 17.0 + _LOG10E * abs(z) + extra
+def _digits_k(z: complex) -> float:
+    return 17.0 + _LOG10E * abs(z)
 
 
 def _digits_x(z: complex, extra: float = 0.0) -> float:
@@ -212,6 +284,7 @@ def _i_start_index(m: complex) -> int:
     return 0
 
 
+@_memo
 def whittaker_i(p: WhittakerParams, z) -> Evaluation:
     """Regular series solution; raises NonConvergence beyond |z| = 40.
 
@@ -371,7 +444,8 @@ def _k_degenerate_value(beta, p_int: int, zv: ComplexValue, be):
     return val, err_terms
 
 
-def whittaker_k(p: WhittakerParams, z, _extra_digits: float = 0.0) -> Evaluation:
+@_memo
+def whittaker_k(p: WhittakerParams, z) -> Evaluation:
     """Exponentially decaying solution K_{beta,m}(z); even in m.
 
     Generic m: combination of two series solutions.  2m within snap of an
@@ -403,11 +477,11 @@ def whittaker_k(p: WhittakerParams, z, _extra_digits: float = 0.0) -> Evaluation
             val, err = _k_degenerate_value(beta, p_int, zv, be)
             return be.to_complex(val), err
 
-        val, err = _run(_digits_k(zc, _extra_digits), body)
+        val, err = _run(_digits_k(zc), body)
         return Evaluation(val, err, Method.DEGENERATE_SERIES)
 
     accuracy_loss = d2 < WARN_TOL
-    digits = _digits_k(zc, _extra_digits) if not accuracy_loss else 17.0
+    digits = _digits_k(zc) if not accuracy_loss else 17.0
 
     def body(be):
         lz = be.ln_tagged(zv)
@@ -529,6 +603,7 @@ def _x_asym(beta, m, zv: ComplexValue):
     return factor * kv + corr * ival, abs(factor) * ke + abs(corr) * ierr
 
 
+@_memo
 def whittaker_x(p: WhittakerParams, z) -> Evaluation:
     """Exponentially exploding companion solution X_{beta,m}(z).
 

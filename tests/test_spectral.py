@@ -227,3 +227,15 @@ def test_xi_functions():
     assert cmath.isfinite(v)
     v = xi_zero(0.8, 0.4, 0.8)
     assert cmath.isfinite(v)
+
+
+def test_zeta_generic_m_cancellation():
+    # positive-energy projection at |beta/2 mu| ~ 3.6: the psi terms cancel
+    # to ~1/4000 of their size, recomputed in mpmath
+    beta, m, mu = -0.35474704505624677 - 1.6909083042234472j, -0.127200054569925, 0.23885374527876954
+    k = 1j * mu
+    with mp.workdps(40):
+        d, mm = mp.mpc(beta) / (2 * mp.mpc(k)), mp.mpf(m)
+        ref = complex(mp.pi * (2 * mm + d * mp.digamma(0.5 + mm - d) - d * mp.digamma(0.5 - mm - d))
+                      / mp.sin(2 * mp.pi * mm))
+    assert abs(zeta(beta, m, k) - ref) <= 1e-14 * abs(ref)

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import struct
 
 import mpmath as mp
 import pytest
@@ -292,3 +293,88 @@ def test_zero_energy_rescaling_limit():
         assert dev < prev
         prev = dev
     assert prev < 1e-3 * abs(target)
+
+
+# ---------------------------------------------------------------------------
+# memo on exact inputs
+
+def _bits(ev):
+    return (struct.pack("<3d", ev.value.real, ev.value.imag, ev.err_est),
+            ev.method, ev.accuracy_loss)
+
+
+def test_memo_keeps_signed_zeros_apart():
+    p = P(0.3 + 0.1j, 0.27)
+    below, above = complex(-5.0, -0.0), complex(-5.0, 0.0)
+    for order in ((below, above), (above, below)):
+        whittaker_i.cache_clear()
+        vals = {z.imag.hex(): whittaker_i(p, z).value for z in order}
+        assert abs(vals[(-0.0).hex()] - (-12.330485793270523 - 16.236393838870935j)) <= 1e-12
+        assert abs(vals[(0.0).hex()] - (-17.65378467976498 + 10.198296488603752j)) <= 1e-12
+
+
+def test_memo_keeps_edge_tags_apart():
+    p = P(0.3 + 0.1j, 0.27)
+    for fn in (whittaker_i, whittaker_k, whittaker_x):
+        expect = {e: _bits(fn.__wrapped__(p, e(-3.0))) for e in (upper_edge, lower_edge)}
+        assert expect[upper_edge] != expect[lower_edge]
+        for order in ((upper_edge, lower_edge), (lower_edge, upper_edge)):
+            fn.cache_clear()
+            for e in order:
+                assert _bits(fn(p, e(-3.0))) == expect[e]
+
+
+@pytest.mark.parametrize("fn,b,m,z", [
+    (whittaker_i, 0.3 + 0.1j, 0.27, 2.0),              # doubles series
+    (whittaker_i, 0.3 + 0.1j, 0.27, complex(10, 3)),   # escalated series
+    (whittaker_i, 0.3 + 0.1j, 0.27, complex(-5, 2)),   # reflected
+    (whittaker_i, 0.7, -1.0, 3.0),                     # series starting at k0 > 0
+    (whittaker_k, 0.3 + 0.1j, 0.27, 2.0),
+    (whittaker_k, 0.3 + 0.1j, 0.27, 10.0),
+    (whittaker_k, 0.8, 0.0, 5.0),                      # logarithmic series
+    (whittaker_k, 2.0, 0.5, 3.0),                      # Laguerre closed form
+    (whittaker_k, 0.3, 0.27, 50.0),                    # asymptotic
+    (whittaker_k, 0.7, 0.5 + 1e-7, 1.0),               # accuracy-loss band
+    (whittaker_k, -4.8498 + 0.2178j, -0.264, -3.0314j),  # a-posteriori re-run
+    (whittaker_x, 0.3, 0.27, 2.0),
+    (whittaker_x, 0.3, 0.27, 10.0),
+    (whittaker_x, 0.8, 0.0, 4.0),
+    (whittaker_x, -2.0, 0.5, 3.0),
+    (whittaker_x, 0.3, 0.27, 50.0),
+    (whittaker_x, 0.5, 0.5, 2.0),                      # m + beta integer: through K
+])
+def test_memo_hit_is_bit_identical(fn, b, m, z):
+    p = P(b, m)
+    fn.cache_clear()
+    expect = _bits(fn.__wrapped__(p, z))
+    assert _bits(fn(p, z)) == expect          # miss
+    hits = fn.cache_info().hits
+    assert _bits(fn(p, z)) == expect          # hit
+    assert fn.cache_info().hits == hits + 1
+
+
+def test_memo_does_not_cache_errors():
+    for fn in (whittaker_i, whittaker_k, whittaker_x):
+        fn.cache_clear()
+        for _ in range(3):
+            with pytest.raises(DomainError):
+                fn(P(0.3, 0.27), 0.0)
+        assert fn.cache_info().currsize == 0
+
+
+def test_memo_stays_bounded():
+    whittaker_k.cache_clear()
+    size = whittaker_k.cache_info().maxsize
+    for j in range(size + 100):
+        whittaker_k(P(0.3, 0.27), complex(41.0, 0.01 * j))
+    assert whittaker_k.cache_info().currsize == size
+
+
+def test_k_rerun_when_err_est_shows_cancellation():
+    # |z| ~ 3 passes the up-front e^|z| rule in doubles, but the z^beta
+    # scale at |beta| ~ 5 cancels ~1e7; err_est flags it and the run is
+    # repeated at the precision it asks for
+    b, m, z = -4.8498 + 0.2178j, -0.264, -3.0314j
+    kv = whittaker_k(P(b, m), z)
+    ref = complex(mp.whitw(b, m, z))
+    assert abs(kv.value - ref) <= 1e-14 * abs(ref)
