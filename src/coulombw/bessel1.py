@@ -69,16 +69,12 @@ def bessel1_i(m, z) -> Evaluation:
 
 def bessel1_k(m, z) -> Evaluation:
     """Exponentially decaying solution; elementary at half-integer order."""
-    zv = as_cvalue(z)
-    inner = whittaker_k(WhittakerParams(0.0, m), _double(zv))
-    return inner
+    return whittaker_k(WhittakerParams(0.0, m), _double(as_cvalue(z)))
 
 
 def bessel1_x(m, z) -> Evaluation:
     """Exploding companion; equals K at integer order (dependent pair)."""
-    zv = as_cvalue(z)
-    inner = whittaker_x(WhittakerParams(0.0, m), _double(zv))
-    return inner
+    return whittaker_x(WhittakerParams(0.0, m), _double(as_cvalue(z)))
 
 
 def bessel1_j(m, z) -> Evaluation:

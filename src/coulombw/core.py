@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError, NonConvergenceError, PoleError
+from .errors import NonConvergenceError, PoleError
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
 SQRT_TWO_PI = 2.5066282746310005024157652848110453
@@ -46,13 +46,6 @@ class Evaluation:
     def __post_init__(self):
         if self.err_est < 0:
             raise ValueError("err_est must be >= 0")
-
-
-def _dist_to_nonpositive_int(z: complex) -> float:
-    n = round(z.real)
-    if n > 0:
-        return abs(z - 0)  # not near any pole; any positive number works
-    return abs(z - n)
 
 
 def is_nonpositive_int(z, tol: float = POLE_SNAP) -> bool:
@@ -322,10 +315,3 @@ def hyp1f1(a, b, z) -> Evaluation:
             "1F1 series cap hit at |z|=%g" % abs(z), value=s, err_est=last
         )
     return Evaluation(s, last, Method.DIRECT_SERIES)
-
-
-def require_positive_real(x, name: str) -> float:
-    x = float(x)
-    if not x > 0:
-        raise DomainError("%s must be > 0, got %r" % (name, x))
-    return x

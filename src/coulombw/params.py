@@ -74,11 +74,6 @@ def is_natural(z: complex, tol: float = SNAP_TOL) -> bool:
     return dist_to_natural(complex(z)) <= tol
 
 
-def is_half_odd(z: complex, tol: float = SNAP_TOL) -> bool:
-    """z in Z + 1/2 within tol."""
-    return is_integer(complex(z) - 0.5, tol)
-
-
 def classify_region(p: WhittakerParams, tol: float = SNAP_TOL) -> ParamRegion:
     """Classify (beta, m) against the exceptional sets.
 

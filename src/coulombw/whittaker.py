@@ -15,6 +15,13 @@ reporting the achieved accuracy in err_est either way.  A run whose own
 err_est shows more cancellation than the estimate allowed for (the z^beta
 and Gamma-factor scales) is re-run at the precision that err_est asks for.
 
+One code path per job: K and X share one generic combination, one
+logarithmic series and one Laguerre closed form, X being K with
+(beta, z) -> (-beta, -z) where the two differ.  J and H+- are I and K
+rotated by a quarter turn under one rule (_rotation; J rotates toward
+Re w >= 0, where I needs no reflection), and every derivative comes from
+one beta-ladder (_ladder) and reports the method of the values it used.
+
 I, K and X are memoized on the exact bits of their inputs (see _memo), so
 resolvent and projection tables, which reuse the same few values at every
 entry, and the derivative ladder, which reuses the value just returned,
@@ -32,7 +39,7 @@ import mpmath as mp
 
 from .branching import Branch, ComplexValue, as_cvalue, principal_ln, principal_pow, rotate_half_pi, rotate_pi
 from .core import Evaluation, Method, digamma, gamma, rgamma
-from .errors import DomainError, NonConvergenceError
+from .errors import BranchError, DomainError, NonConvergenceError
 from .params import SNAP_TOL, WARN_TOL, WhittakerParams, dist_to_integer, dist_to_natural
 
 SERIES_CAP = 40.0          # |z| above which the direct series is refused
@@ -266,22 +273,14 @@ def _i_value(beta, m, zv: ComplexValue, be, k0: int):
     z = be.c(complex(zv))
     s, mx, last = _i_sum(be.c(0.5) + be.c(m) - be.c(beta), 2 * complex(m), z, be, k0)
     pref = be.exp((be.c(0.5) + be.c(m)) * lz - z / 2)
-    val = pref * s
     err = be.mag(pref) * (be.eps * mx + last)
-    return val, float(err)
+    return be.to_complex(pref * s), float(err)
 
 
 def _snap_two_m(m: complex):
     """Return (p, dist) where p = round(2m) when 2m is near an integer."""
     d = dist_to_integer(2 * m)
     return round((2 * m).real), d
-
-
-def _i_start_index(m: complex) -> int:
-    p, d = _snap_two_m(m)
-    if d <= SNAP_TOL and p <= -1:
-        return -p
-    return 0
 
 
 @_memo
@@ -313,22 +312,16 @@ def _i_eval(beta, m, zv: ComplexValue) -> Evaluation:
         factor = cmath.exp(1j * s * cmath.pi * (0.5 + complex(m)))
         inner = _i_eval(-complex(beta), m, w)
         return Evaluation(factor * inner.value, abs(factor) * inner.err_est, inner.method)
-    k0 = _i_start_index(complex(m))
-    m_eff = complex(m)
-    if k0 > 0:
-        m_eff = round((2 * m_eff).real) / 2.0
-    digits = _digits_i(zc)
-
-    def body(be):
-        val, err = _i_value(beta, m_eff, zv, be, k0)
-        return be.to_complex(val), err
-
-    val, err = _run(digits, body)
+    # 2m snapped to a negative integer -k0: the first k0 terms vanish
+    p_int, d2 = _snap_two_m(complex(m))
+    k0 = -p_int if d2 <= SNAP_TOL and p_int <= -1 else 0
+    m_eff = p_int / 2.0 if k0 > 0 else complex(m)
+    val, err = _run(_digits_i(zc), lambda be: _i_value(beta, m_eff, zv, be, k0))
     return Evaluation(val, err, Method.DIRECT_SERIES)
 
 
 # ---------------------------------------------------------------------------
-# K: decaying solution
+# K: decaying solution, and the bodies X shares with it
 
 def _canonical_m(m: complex) -> complex:
     """K and related even-in-m objects are evaluated at a canonical m."""
@@ -380,24 +373,30 @@ def _k_asym_tagged(beta, m, zv: ComplexValue):
     return pref * s, abs(pref) * err
 
 
-def _k_degenerate_value(beta, p_int: int, zv: ComplexValue, be):
-    """Logarithmic series for K at 2m = p_int >= 0."""
+# One body per regime for K and X, X being K with (beta, z) -> (-beta, -z)
+# where the two differ (sgn = +1 for K, -1 for X).
+
+def _degenerate_value(beta, p_int: int, zv: ComplexValue, be, sgn: int):
+    """Logarithmic series for K (sgn = +1) or X (sgn = -1) at 2m = p_int >= 0.
+
+    The log term is the same regular-solution series for both; the
+    psi-weighted series and the finite part run in sgn*z with sgn*beta.
+    """
     z = be.c(complex(zv))
+    sz = z if sgn > 0 else -z
     lz = be.ln_tagged(zv)
-    a = be.c((1 + p_int) / 2.0) - be.c(beta)
+    a = be.c((1 + p_int) / 2.0) - be.c(beta if sgn > 0 else -beta)
     g = a - p_int
-    sign = be.c((-1.0) ** (p_int + 1))
     rg_g = be.c(be.rgamma(g))
     rg_a = be.c(be.rgamma(a))
-    epref = be.exp(-z / 2)
+    ipref = be.exp(-z / 2)
+    epref = ipref if sgn > 0 else be.exp(-sz / 2)
     zpref = be.exp(be.c((1 + p_int) / 2.0) * lz)
-
-    mx = be.mag(zpref) * be.mag(epref)
     pieces = be.c(0)
     err_terms = 0.0
     if rg_g != 0:
-        i_sum, i_mx, i_last = _i_sum(a, p_int, z, be, 0)
-        log_term = lz * zpref * epref * i_sum
+        i_sum, i_mx, _ = _i_sum(be.c((1 + p_int) / 2.0) - be.c(beta), p_int, z, be, 0)
+        log_term = lz * zpref * ipref * i_sum
         # infinite psi-weighted sum
         t = be.c(1) / math.factorial(p_int)
         psi_a = be.digamma(a)
@@ -405,10 +404,9 @@ def _k_degenerate_value(beta, p_int: int, zv: ComplexValue, be):
         psi_1 = be.digamma(be.c(1))
         ssum = t * (psi_a - psi_p - psi_1)
         smx = be.mag(ssum)
-        last = smx
         small = 0
         for k in range(1, _MAX_TERMS):
-            t = t * (a + (k - 1)) * z / (k * (p_int + k))
+            t = t * (a + (k - 1)) * sz / (k * (p_int + k))
             psi_a += 1 / (a + (k - 1))
             psi_p += 1 / be.c(p_int + k)
             psi_1 += 1 / be.c(k)
@@ -425,9 +423,10 @@ def _k_degenerate_value(beta, p_int: int, zv: ComplexValue, be):
         else:
             raise NonConvergenceError("degenerate series cap hit")
         pieces = rg_g * (log_term + epref * zpref * ssum)
-        mx_piece = be.mag(rg_g) * (be.mag(lz) * be.mag(zpref) * be.mag(epref) * i_mx
-                                   + be.mag(epref) * be.mag(zpref) * smx)
-        err_terms += be.eps * mx_piece
+        err_terms += be.eps * be.mag(rg_g) * (
+            be.mag(lz) * be.mag(zpref) * be.mag(ipref) * i_mx
+            + be.mag(epref) * be.mag(zpref) * smx
+        )
     # finite part, written with entire coefficients (g)_{p-j} / Gamma(a)
     if p_int > 0:
         fsum = be.c(0)
@@ -435,13 +434,79 @@ def _k_degenerate_value(beta, p_int: int, zv: ComplexValue, be):
             coef = be.c(1)
             for i in range(p_int - j):
                 coef *= g + i
-            term = (coef * ((-1.0) ** (j - 1)) * math.factorial(j - 1)
-                    / math.factorial(p_int - j) * be.exp(be.c(-j) * lz))
-            fsum += term
-        pieces += rg_a * epref * zpref * fsum
+            if sgn > 0:
+                coef *= (-1.0) ** (j - 1)
+            fsum += (coef * math.factorial(j - 1) / math.factorial(p_int - j)
+                     * be.exp(be.c(-j) * lz))
+        finite = rg_a * epref * zpref * fsum
+        pieces += finite if sgn > 0 else -finite
         err_terms += be.eps * be.mag(rg_a) * be.mag(epref) * be.mag(zpref) * be.mag(fsum)
-    val = sign * pieces
-    return val, err_terms
+    return be.to_complex(be.c((-1.0) ** (p_int + 1)) * pieces), err_terms
+
+
+def _snapped_value(beta, p_int: int, zv: ComplexValue, digits: float, sgn: int) -> Evaluation:
+    """K (sgn = +1) or X (sgn = -1) at 2m = p_int >= 0: the Laguerre closed
+    form on the lattice sgn*beta - (1+p_int)/2 = n in N, else the log series."""
+    n_lag = (beta if sgn > 0 else -beta) - (1 + p_int) / 2.0
+    if dist_to_natural(n_lag) <= SNAP_TOL:
+        n = round(n_lag.real)
+        zc = complex(zv)
+        zs = zc if sgn > 0 else -zc
+        val = ((-1.0) ** n * math.factorial(n)
+               * principal_pow(zv, (1 + p_int) / 2.0) * cmath.exp(-zs / 2)
+               * laguerre(n, float(p_int), zs))
+        return Evaluation(val, 1e-15 * abs(val) * (1 + abs(zc)), Method.CLOSED_FORM)
+    val, err = _run(digits, lambda be: _degenerate_value(beta, p_int, zv, be, sgn))
+    return Evaluation(val, err, Method.DEGENERATE_SERIES)
+
+
+def _generic_value(beta, m, zv: ComplexValue, digits: float, sgn: int) -> Evaluation:
+    """K (sgn = +1) or X (sgn = -1) as a combination of the two series
+    solutions S_+- (sums of I_{beta,+-m} without their z^{+-m}), namely
+    pi/sin(2 pi m) z^{1/2} e^{-z/2} times
+
+        -z^m S_+ / Gamma(1/2-m-sgn beta) + w z^-m S_- / Gamma(1/2+m-sgn beta),
+
+    with w = 1 for K and cos(2 pi m) for X.  Between the snap and warn
+    tolerances of 2m the result carries accuracy_loss and an inflated
+    err_est: the combination cancels to O(dist) of its pieces on top of
+    the e^|z| series cancellation.
+    """
+    zc = complex(zv)
+    d2 = dist_to_integer(2 * m)
+    accuracy_loss = d2 < WARN_TOL
+    sb = beta if sgn > 0 else -beta
+
+    def body(be):
+        lz = be.ln_tagged(zv)
+        z_n = be.c(zc)
+        mm = be.c(m)
+        bb = be.c(beta)
+        s_plus, mx_p, last_p = _i_sum(be.c(0.5) + mm - bb, 2 * m, z_n, be, 0)
+        s_minus, mx_m, last_m = _i_sum(be.c(0.5) - mm - bb, -2 * m, z_n, be, 0)
+        zp = be.exp(mm * lz)
+        zm = be.exp(-mm * lz)
+        base = be.exp(be.c(0.5) * lz - z_n / 2)
+        g_plus = be.c(be.rgamma(0.5 - mm - be.c(sb)))
+        g_minus = be.c(be.rgamma(0.5 + mm - be.c(sb)))
+        # X keeps the overall sign outside: folding it into the combination
+        # would flip the sign of exactly-zero imaginary parts
+        if sgn > 0:
+            combo = -g_plus * zp * s_plus + g_minus * zm * s_minus
+        else:
+            combo = g_plus * zp * s_plus - be.cos(2 * be.pi * mm) * g_minus * zm * s_minus
+        factor = sgn * be.pi / be.sin(2 * be.pi * mm)
+        val = factor * base * combo
+        scale = be.mag(factor) * be.mag(base) * (
+            be.mag(zp) * (be.eps * mx_p + last_p) + be.mag(zm) * (be.eps * mx_m + last_m)
+        )
+        return be.to_complex(val), float(scale)
+
+    val, err = _run(digits if not accuracy_loss else 17.0, body)
+    if accuracy_loss:
+        err = max(err, abs(val) * 2.3e-16 * math.exp(min(abs(zc), 40.0))
+                  / (2 * math.pi * max(d2, 1e-16)))
+    return Evaluation(val, err, Method.DIRECT_SERIES, accuracy_loss=accuracy_loss)
 
 
 @_memo
@@ -465,118 +530,15 @@ def whittaker_k(p: WhittakerParams, z) -> Evaluation:
         return Evaluation(val, err, Method.ASYMPTOTIC_SERIES)
     p_int, d2 = _snap_two_m(m)
     if d2 <= SNAP_TOL:
-        n_lag = beta - (1 + p_int) / 2.0
-        if dist_to_natural(n_lag) <= SNAP_TOL:
-            n = round(n_lag.real)
-            val = ((-1.0) ** n * math.factorial(n)
-                   * principal_pow(zv, (1 + p_int) / 2.0) * cmath.exp(-zc / 2)
-                   * laguerre(n, float(p_int), zc))
-            return Evaluation(val, 1e-15 * abs(val) * (1 + abs(zc)), Method.CLOSED_FORM)
-
-        def body(be):
-            val, err = _k_degenerate_value(beta, p_int, zv, be)
-            return be.to_complex(val), err
-
-        val, err = _run(_digits_k(zc), body)
-        return Evaluation(val, err, Method.DEGENERATE_SERIES)
-
-    accuracy_loss = d2 < WARN_TOL
-    digits = _digits_k(zc) if not accuracy_loss else 17.0
-
-    def body(be):
-        lz = be.ln_tagged(zv)
-        z_n = be.c(zc)
-        mm = be.c(m)
-        s_plus, mx_p, last_p = _i_sum(be.c(0.5) + mm - be.c(beta), 2 * m, z_n, be, 0)
-        s_minus, mx_m, last_m = _i_sum(be.c(0.5) - mm - be.c(beta), -2 * m, z_n, be,
-                                       _i_start_index(-m))
-        zp = be.exp(mm * lz)
-        zm = be.exp(-mm * lz)
-        base = be.exp(be.c(0.5) * lz - z_n / 2)
-        combo = (-be.c(be.rgamma(0.5 - mm - be.c(beta))) * zp * s_plus
-                 + be.c(be.rgamma(0.5 + mm - be.c(beta))) * zm * s_minus)
-        factor = be.pi / be.sin(2 * be.pi * mm)
-        val = factor * base * combo
-        scale = be.mag(factor) * be.mag(base) * (
-            be.mag(zp) * (be.eps * mx_p + last_p) + be.mag(zm) * (be.eps * mx_m + last_m)
-        )
-        return be.to_complex(val), float(scale)
-
-    val, err = _run(digits, body)
-    if accuracy_loss:
-        # inside the warn band the combination cancels to O(dist) of its
-        # pieces on top of the e^|z| series cancellation
-        err = max(err, abs(val) * 2.3e-16 * math.exp(min(abs(zc), 40.0))
-                  / (2 * math.pi * max(d2, 1e-16)))
-    return Evaluation(val, err, Method.DIRECT_SERIES, accuracy_loss=accuracy_loss)
+        return _snapped_value(beta, p_int, zv, _digits_k(zc), +1)
+    return _generic_value(beta, m, zv, _digits_k(zc), +1)
 
 
 # ---------------------------------------------------------------------------
 # X: exploding companion built from the edge continuations of K
 
-def _x_degenerate_value(beta, p_int: int, zv: ComplexValue, be):
-    """Logarithmic series for X at 2m = p_int >= 0."""
-    z = be.c(complex(zv))
-    lz = be.ln_tagged(zv)
-    a = be.c((1 + p_int) / 2.0) + be.c(beta)
-    g = a - p_int
-    sign = be.c((-1.0) ** (p_int + 1))
-    rg_g = be.c(be.rgamma(g))
-    rg_a = be.c(be.rgamma(a))
-    epref = be.exp(z / 2)
-    zpref = be.exp(be.c((1 + p_int) / 2.0) * lz)
-    pieces = be.c(0)
-    err_terms = 0.0
-    if rg_g != 0:
-        i_sum, i_mx, i_last = _i_sum(be.c(0.5 + p_int / 2.0) - be.c(beta), p_int, z, be, 0)
-        ipref = be.exp(-z / 2)
-        log_term = lz * zpref * ipref * i_sum
-        t = be.c(1) / math.factorial(p_int)
-        psi_a = be.digamma(a)
-        psi_p = be.digamma(be.c(p_int + 1))
-        psi_1 = be.digamma(be.c(1))
-        ssum = t * (psi_a - psi_p - psi_1)
-        smx = be.mag(ssum)
-        small = 0
-        for k in range(1, _MAX_TERMS):
-            t = t * (a + (k - 1)) * (-z) / (k * (p_int + k))
-            psi_a += 1 / (a + (k - 1))
-            psi_p += 1 / be.c(p_int + k)
-            psi_1 += 1 / be.c(k)
-            term = t * (psi_a - psi_p - psi_1)
-            ssum += term
-            last = be.mag(term)
-            smx = max(smx, last)
-            if last <= be.eps * max(be.mag(ssum), 1e-300):
-                small += 1
-                if small >= 3:
-                    break
-            else:
-                small = 0
-        else:
-            raise NonConvergenceError("degenerate series cap hit")
-        pieces = rg_g * (log_term + epref * zpref * ssum)
-        err_terms += be.eps * be.mag(rg_g) * (
-            be.mag(lz) * be.mag(zpref) * be.mag(ipref) * i_mx
-            + be.mag(epref) * be.mag(zpref) * smx
-        )
-    if p_int > 0:
-        fsum = be.c(0)
-        for j in range(1, p_int + 1):
-            coef = be.c(1)
-            for i in range(p_int - j):
-                coef *= g + i
-            fsum += (coef * math.factorial(j - 1) / math.factorial(p_int - j)
-                     * be.exp(be.c(-j) * lz))
-        pieces -= rg_a * epref * zpref * fsum
-        err_terms += be.eps * be.mag(rg_a) * be.mag(epref) * be.mag(zpref) * be.mag(fsum)
-    val = sign * pieces
-    return val, err_terms
-
-
 def _x_asym(beta, m, zv: ComplexValue):
     """Large-|z| X from the edge continuations of the decaying asymptotics."""
-    zc = complex(zv)
     a = zv.arg()
     out = []
     errs = []
@@ -595,12 +557,9 @@ def _x_asym(beta, m, zv: ComplexValue):
     # off the real axis only one edge rotation stays on the sheet; correct
     # the single continuation by the regular solution (exact relation).
     s = +1 if a <= 0 else -1
-    w = rotate_pi(zv, s)
-    kv, ke = _k_asym_tagged(-beta, m, w)
-    factor = cmath.exp(-1j * s * cmath.pi * (0.5 + complex(m)))
     ival, ierr = _i_large(beta, -complex(m), zv)
     corr = 1j * s * cmath.pi * rgamma(0.5 + complex(m) + beta)
-    return factor * kv + corr * ival, abs(factor) * ke + abs(corr) * ierr
+    return out[0] + corr * ival, errs[0] + abs(corr) * ierr
 
 
 @_memo
@@ -631,52 +590,13 @@ def whittaker_x(p: WhittakerParams, z) -> Evaluation:
     extra = 0.0
     if d_mb < 1e-2:
         extra = _LOG10E * min(-math.log(math.pi * d_mb), max(zc.real, 0.0))
+    digits = _digits_x(zc, extra)
     p_int, d2 = _snap_two_m(m)
     if d2 <= SNAP_TOL:
-        pa = abs(p_int)
+        ev = _snapped_value(beta, abs(p_int), zv, digits, -1)
         flip = (-1.0) ** p_int if p_int < 0 else 1.0
-        n_exp = -beta - (1 + pa) / 2.0
-        if dist_to_natural(n_exp) <= SNAP_TOL:
-            n = round(n_exp.real)
-            val = ((-1.0) ** n * math.factorial(n)
-                   * principal_pow(zv, (1 + pa) / 2.0) * cmath.exp(zc / 2)
-                   * laguerre(n, float(pa), -zc)) * flip
-            return Evaluation(val, 1e-15 * abs(val) * (1 + abs(zc)), Method.CLOSED_FORM)
-
-        def body(be):
-            val, err = _x_degenerate_value(beta, pa, zv, be)
-            return be.to_complex(val), err
-
-        val, err = _run(_digits_x(zc, extra), body)
-        return Evaluation(flip * val, err, Method.DEGENERATE_SERIES)
-
-    accuracy_loss = d2 < WARN_TOL
-    digits = _digits_x(zc, extra) if not accuracy_loss else 17.0
-
-    def body(be):
-        lz = be.ln_tagged(zv)
-        z_n = be.c(zc)
-        mm = be.c(m)
-        bb = be.c(beta)
-        s_plus, mx_p, last_p = _i_sum(be.c(0.5) + mm - bb, 2 * m, z_n, be, _i_start_index(m))
-        s_minus, mx_m, last_m = _i_sum(be.c(0.5) - mm - bb, -2 * m, z_n, be, _i_start_index(-m))
-        zp = be.exp(mm * lz)
-        zm = be.exp(-mm * lz)
-        base = be.exp(be.c(0.5) * lz - z_n / 2)
-        combo = (be.c(be.rgamma(0.5 - mm + bb)) * zp * s_plus
-                 - be.cos(2 * be.pi * mm) * be.c(be.rgamma(0.5 + mm + bb)) * zm * s_minus)
-        factor = -be.pi / be.sin(2 * be.pi * mm)
-        val = factor * base * combo
-        scale = be.mag(factor) * be.mag(base) * (
-            be.mag(zp) * (be.eps * mx_p + last_p) + be.mag(zm) * (be.eps * mx_m + last_m)
-        )
-        return be.to_complex(val), float(scale)
-
-    val, err = _run(digits, body)
-    if accuracy_loss:
-        err = max(err, abs(val) * 2.3e-16 * math.exp(min(abs(zc), 40.0))
-                  / (2 * math.pi * max(d2, 1e-16)))
-    return Evaluation(val, err, Method.DIRECT_SERIES, accuracy_loss=accuracy_loss)
+        return Evaluation(flip * ev.value, ev.err_est, ev.method)
+    return _generic_value(beta, m, zv, digits, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -717,31 +637,53 @@ def whittaker_i_ext(p: WhittakerParams, z) -> Evaluation:
 # ---------------------------------------------------------------------------
 # trigonometric rotations
 
+def _rotation(which: str, p: WhittakerParams, zv: ComplexValue, s=None):
+    """J and H+- as I and K rotated by a quarter turn.
+
+    Returns (kind, params, w, prefactor, dz) such that
+    which_p(z) = prefactor * kind_params(w) and d/dz = prefactor * dz * d/dw.
+    For I, K and X it returns (which, p, zv, None, None).  J rotates toward
+    Re w >= 0 (w = e^{i s pi/2} z with s = +1 for arg z <= 0, else -1),
+    where I needs no reflection, unless s is given; H+- rotate by -+pi/2.
+    """
+    if which in ("I", "K", "X"):
+        return which, p, zv, None, None
+    beta = complex(p.beta)
+    if which == "J":
+        if s is None:
+            s = +1 if zv.arg() <= 0 else -1
+        kind, inner_beta, rs = "I", -s * 1j * beta, s
+    elif which in ("H+", "H-"):
+        s = +1 if which == "H+" else -1
+        kind, inner_beta, rs = "K", s * 1j * beta, -s
+    else:
+        raise DomainError("unknown function tag %r" % (which,))
+    w = rotate_half_pi(zv, rs)
+    prefactor = cmath.exp(-s * 1j * cmath.pi / 2 * (0.5 + complex(p.m)))
+    return kind, WhittakerParams(inner_beta, p.m), w, prefactor, cmath.exp(rs * 1j * cmath.pi / 2)
+
+
 def whittaker_h(p: WhittakerParams, sign: int, z) -> Evaluation:
     """H^+ or H^- (sign = +1 / -1), the rotated decaying solutions."""
     if sign not in (+1, -1):
         raise DomainError("sign must be +1 or -1")
-    zv = as_cvalue(z)
-    w = rotate_half_pi(zv, -sign)
-    factor = cmath.exp(-sign * 1j * cmath.pi / 2 * (0.5 + complex(p.m)))
-    kv = whittaker_k(WhittakerParams(sign * 1j * complex(p.beta), p.m), w)
-    return Evaluation(factor * kv.value, abs(factor) * kv.err_est, kv.method, kv.accuracy_loss)
+    _, q, w, pref, _ = _rotation("H+" if sign > 0 else "H-", p, as_cvalue(z))
+    kv = whittaker_k(q, w)
+    return Evaluation(pref * kv.value, abs(pref) * kv.err_est, kv.method, kv.accuracy_loss)
 
 
 def whittaker_j(p: WhittakerParams, z) -> Evaluation:
-    """Rotated regular solution; both admissible rotations must agree."""
+    """Rotated regular solution; where both rotations stay on the sheet
+    (|arg z| <= pi/2), they must agree."""
     zv = as_cvalue(z)
     results = []
     for s in (+1, -1):
         try:
-            w = rotate_half_pi(zv, s)
-        except Exception:
+            _, q, w, pref, _ = _rotation("J", p, zv, s)
+        except BranchError:
             continue
-        factor = cmath.exp(-s * 1j * cmath.pi / 2 * (0.5 + complex(p.m)))
-        iv = whittaker_i(WhittakerParams(-s * 1j * complex(p.beta), p.m), w)
-        results.append(Evaluation(factor * iv.value, abs(factor) * iv.err_est, iv.method))
-    if not results:
-        raise DomainError("argument leaves the principal sheet under both rotations")
+        iv = whittaker_i(q, w)
+        results.append(Evaluation(pref * iv.value, abs(pref) * iv.err_est, iv.method))
     if len(results) == 2:
         diff = abs(results[0].value - results[1].value)
         return Evaluation(results[0].value, max(results[0].err_est, diff), results[0].method)
@@ -753,82 +695,54 @@ def whittaker_j_ext(p: WhittakerParams, z) -> Evaluation:
     zv = as_cvalue(z)
     if abs(complex(zv)) <= SERIES_CAP:
         return whittaker_j(p, zv)
-    s = +1 if zv.arg() <= 0 else -1
-    w = rotate_half_pi(zv, s)
-    factor = cmath.exp(-s * 1j * cmath.pi / 2 * (0.5 + complex(p.m)))
-    iv = whittaker_i_ext(WhittakerParams(-s * 1j * complex(p.beta), p.m), w)
-    return Evaluation(factor * iv.value, abs(factor) * iv.err_est, iv.method)
+    _, q, w, pref, _ = _rotation("J", p, zv)
+    iv = whittaker_i_ext(q, w)
+    return Evaluation(pref * iv.value, abs(pref) * iv.err_est, iv.method)
 
 
 # ---------------------------------------------------------------------------
 # derivatives via the ladder recurrences (never finite differences)
 
-_I_LIKE = {"I"}
-_K_LIKE = {"K"}
-_X_LIKE = {"X"}
+def _evaluator(kind: str, ext: bool = False):
+    """whittaker_i (or _i_ext), whittaker_k or whittaker_x by tag, looked up
+    at call time so that a rebound module global is the one called."""
+    if kind == "I":
+        return whittaker_i_ext if ext else whittaker_i
+    return whittaker_k if kind == "K" else whittaker_x
 
 
-def _deriv_i(beta, m, zv: ComplexValue, ext: bool = False):
+def _ladder(kind: str, p: WhittakerParams, zv: ComplexValue, ext: bool = False):
+    """f' for f = I, K or X from the beta-ladder z f' = c f_{beta+1} - (beta - z/2) f.
+
+    Returns (f', err, f, f_{beta+1}, c) with f and f_{beta+1} Evaluations.
+    """
     zc = complex(zv)
-    f = (whittaker_i_ext if ext else whittaker_i)
-    p0 = WhittakerParams(beta, m)
-    p1 = WhittakerParams(complex(beta) + 1, m)
-    f0 = f(p0, zv)
-    f1 = f(p1, zv)
-    c = 0.5 + complex(m) + complex(beta)
-    val = (c * f1.value - (complex(beta) - zc / 2) * f0.value) / zc
-    err = (abs(c) * f1.err_est + abs(complex(beta) - zc / 2) * f0.err_est) / abs(zc)
-    return val, err, f0
-
-
-def _deriv_k(beta, m, zv: ComplexValue):
-    zc = complex(zv)
-    p0 = WhittakerParams(beta, m)
-    p1 = WhittakerParams(complex(beta) + 1, m)
-    f0 = whittaker_k(p0, zv)
-    f1 = whittaker_k(p1, zv)
-    val = (-f1.value - (complex(beta) - zc / 2) * f0.value) / zc
-    err = (f1.err_est + abs(complex(beta) - zc / 2) * f0.err_est) / abs(zc)
-    return val, err, f0
-
-
-def _deriv_x(beta, m, zv: ComplexValue):
-    zc = complex(zv)
-    p0 = WhittakerParams(beta, m)
-    p1 = WhittakerParams(complex(beta) + 1, m)
-    f0 = whittaker_x(p0, zv)
-    f1 = whittaker_x(p1, zv)
-    c = (0.5 + complex(m) + complex(beta)) * (0.5 - complex(m) + complex(beta))
-    val = (c * f1.value - (complex(beta) - zc / 2) * f0.value) / zc
-    err = (abs(c) * f1.err_est + abs(complex(beta) - zc / 2) * f0.err_est) / abs(zc)
-    return val, err, f0
+    beta, m = p.beta, p.m
+    fn = _evaluator(kind, ext)
+    f0 = fn(p, zv)
+    f1 = fn(WhittakerParams(beta + 1, m), zv)
+    if kind == "I":
+        c = 0.5 + m + beta
+    elif kind == "K":
+        c = -1.0
+    else:
+        c = (0.5 + m + beta) * (0.5 - m + beta)
+    val = (c * f1.value - (beta - zc / 2) * f0.value) / zc
+    err = (abs(c) * f1.err_est + abs(beta - zc / 2) * f0.err_est) / abs(zc)
+    return val, err, f0, f1, c
 
 
 def whittaker_deriv(which: str, p: WhittakerParams, z) -> Evaluation:
-    """d/dz of I, K, X, J, H+ or H- from the parameter-ladder identities."""
-    zv = as_cvalue(z)
-    beta, m = complex(p.beta), complex(p.m)
-    if which == "I":
-        val, err, _ = _deriv_i(beta, m, zv)
-    elif which == "K":
-        val, err, _ = _deriv_k(beta, m, zv)
-    elif which == "X":
-        val, err, _ = _deriv_x(beta, m, zv)
-    elif which == "J":
-        s = +1 if zv.arg() <= 0 else -1
-        w = rotate_half_pi(zv, s)
-        factor = cmath.exp(-s * 1j * cmath.pi / 2 * (0.5 + m)) * cmath.exp(s * 1j * cmath.pi / 2)
-        dv, de, _ = _deriv_i(-s * 1j * beta, m, w)
-        val, err = factor * dv, abs(factor) * de
-    elif which in ("H+", "H-"):
-        s = +1 if which == "H+" else -1
-        w = rotate_half_pi(zv, -s)
-        factor = cmath.exp(-s * 1j * cmath.pi / 2 * (0.5 + m)) * cmath.exp(-s * 1j * cmath.pi / 2)
-        dv, de, _ = _deriv_k(s * 1j * beta, m, w)
-        val, err = factor * dv, abs(factor) * de
-    else:
-        raise DomainError("unknown function tag %r" % (which,))
-    return Evaluation(val, err, Method.DIRECT_SERIES)
+    """d/dz of I, K, X, J, H+ or H- from the parameter-ladder identities.
+
+    The method and accuracy_loss are those of the values the ladder used.
+    """
+    kind, q, w, pref, dz = _rotation(which, p, as_cvalue(z))
+    val, err, f0, f1, _ = _ladder(kind, q, w)
+    if pref is not None:
+        factor = pref * dz
+        val, err = factor * val, abs(factor) * err
+    return Evaluation(val, err, f0.method, f0.accuracy_loss or f1.accuracy_loss)
 
 
 class WhittakerSolution:
@@ -845,71 +759,21 @@ class WhittakerSolution:
         self.params = params
         self.ext = ext
 
-    def _base(self, which, params, zv):
-        if which == "I":
-            return (whittaker_i_ext if self.ext else whittaker_i)(params, zv).value
-        if which == "K":
-            return whittaker_k(params, zv).value
-        if which == "X":
-            return whittaker_x(params, zv).value
-        raise DomainError(which)
-
-    def _rotation(self):
-        # J and H are rotated I / K; returns (inner_kind, beta', rot_sign, prefactor)
-        m = complex(self.params.m)
-        beta = complex(self.params.beta)
-        if self.which == "J":
-            s = -1
-            return "I", -s * 1j * beta, s, cmath.exp(-s * 1j * cmath.pi / 2 * (0.5 + m))
-        s = +1 if self.which == "H+" else -1
-        return "K", s * 1j * beta, -s, cmath.exp(-s * 1j * cmath.pi / 2 * (0.5 + m))
-
     def value(self, x) -> complex:
-        zv = as_cvalue(x)
-        if self.which in ("I", "K", "X"):
-            return self._base(self.which, self.params, zv)
-        kind, b2, rs, pref = self._rotation()
-        w = rotate_half_pi(zv, rs)
-        return pref * self._base(kind, WhittakerParams(b2, self.params.m), w)
-
-    def _ladder(self, kind, beta, m, zv):
-        zc = complex(zv)
-        pz = WhittakerParams(beta, m)
-        p1 = WhittakerParams(beta + 1, m)
-        f0 = self._base(kind, pz, zv)
-        f1 = self._base(kind, p1, zv)
-        if kind == "I":
-            c = 0.5 + m + beta
-        elif kind == "K":
-            c = -1.0
-        else:
-            c = (0.5 + m + beta) * (0.5 - m + beta)
-        return (c * f1 - (beta - zc / 2) * f0) / zc, f0, f1, c
+        kind, q, w, pref, _ = _rotation(self.which, self.params, as_cvalue(x))
+        f = _evaluator(kind, self.ext)(q, w).value
+        return f if pref is None else pref * f
 
     def deriv(self, x) -> complex:
-        zv = as_cvalue(x)
-        m = complex(self.params.m)
-        if self.which in ("I", "K", "X"):
-            d, _, _, _ = self._ladder(self.which, complex(self.params.beta), m, zv)
-            return d
-        kind, b2, rs, pref = self._rotation()
-        w = rotate_half_pi(zv, rs)
-        d, _, _, _ = self._ladder(kind, b2, m, w)
-        return pref * cmath.exp(rs * 1j * cmath.pi / 2) * d
+        kind, q, w, pref, dz = _rotation(self.which, self.params, as_cvalue(x))
+        d = _ladder(kind, q, w, self.ext)[0]
+        return d if pref is None else pref * dz * d
 
     def deriv2(self, x) -> complex:
-        zv = as_cvalue(x)
-        m = complex(self.params.m)
-        if self.which in ("I", "K", "X"):
-            return self._second(self.which, complex(self.params.beta), m, zv)
-        kind, b2, rs, pref = self._rotation()
-        w = rotate_half_pi(zv, rs)
-        rot = cmath.exp(rs * 1j * cmath.pi / 2)
-        return pref * rot * rot * self._second(kind, b2, m, w)
-
-    def _second(self, kind, beta, m, zv):
         # f'' = (c f'_{b+1} + f/2 - (b - z/2) f' - f')/z with f' from the ladder
-        zc = complex(zv)
-        d0, f0, f1, c = self._ladder(kind, beta, m, zv)
-        d1, _, _, _ = self._ladder(kind, beta + 1, m, zv)
-        return (c * d1 + 0.5 * f0 - (beta - zc / 2) * d0 - d0) / zc
+        kind, q, w, pref, dz = _rotation(self.which, self.params, as_cvalue(x))
+        wc = complex(w)
+        d0, _, f0, _, c = _ladder(kind, q, w, self.ext)
+        d1 = _ladder(kind, WhittakerParams(q.beta + 1, q.m), w, self.ext)[0]
+        d2 = (c * d1 + 0.5 * f0.value - (q.beta - wc / 2) * d0 - d0) / wc
+        return d2 if pref is None else pref * dz * dz * d2

@@ -378,3 +378,59 @@ def test_k_rerun_when_err_est_shows_cancellation():
     kv = whittaker_k(P(b, m), z)
     ref = complex(mp.whitw(b, m, z))
     assert abs(kv.value - ref) <= 1e-14 * abs(ref)
+
+
+# ---------------------------------------------------------------------------
+# K and X share one logarithmic series; J and H share one rotation rule;
+# derivatives report the method of the values they come from
+
+def _mp_edge(z, s):
+    """-z just above (s = +1) or just below (s = -1) the cut, for mpmath."""
+    return mp.mpc(-z, s * 1e-30)
+
+
+@pytest.mark.parametrize("b", [0.7 + 0.3j, -1.3 + 0.4j, 2.2 - 0.6j])
+@pytest.mark.parametrize("m", [0.0, 0.5, -0.5, 1.0, -1.0, 1.5, -1.5])
+def test_degenerate_series_against_mpmath(b, m):
+    # K and X at 2m in Z, finite part included for |2m| >= 2; 20 digits keep
+    # the references (mpmath raises its own precision on cancellation) far
+    # inside the tolerance
+    p = P(b, m)
+    with mp.workdps(20):
+        for z, ref_z in [(0.4, 0.4), (2.5, 2.5), (7.0, 7.0), (3 + 2j, 3 + 2j), (18.0, 18.0),
+                         (upper_edge(-2.0), _mp_edge(2, +1)), (lower_edge(-2.0), _mp_edge(2, -1))]:
+            kv = whittaker_k(p, z)
+            assert kv.method is Method.DEGENERATE_SERIES
+            ref = complex(mp.whitw(b, m, ref_z))
+            assert abs(kv.value - ref) <= 1e-11 * abs(ref)
+        for z in (0.4, 2.5, 7.0, 18.0):
+            xv = whittaker_x(p, z)
+            assert xv.method is Method.DEGENERATE_SERIES
+            ref = complex(mp_x(b, m, z))
+            assert abs(xv.value - ref) <= 1e-11 * abs(ref)
+
+
+def test_j_handle_below_minus_half_pi():
+    # arg z = -0.7 pi: only the +pi/2 rotation keeps the argument on the sheet
+    p = P(0.3 + 0.2j, 0.27)
+    z = cmath.rect(2.0, -0.7 * math.pi)
+    s = WhittakerSolution("J", p)
+    jv = whittaker_j(p, z).value
+    jd = whittaker_deriv("J", p, z).value
+    assert abs(s.value(z) - jv) <= 1e-14 * abs(jv)
+    assert abs(s.deriv(z) - jd) <= 1e-14 * abs(jd)
+
+
+@pytest.mark.parametrize("which,b,m,z,method,loss", [
+    ("K", 0.3, 0.27, 50.0, Method.ASYMPTOTIC_SERIES, False),
+    ("K", 0.7, 0.5 + 1e-7, 1.0, Method.DIRECT_SERIES, True),
+    ("K", 0.8, 0.0, 5.0, Method.DEGENERATE_SERIES, False),
+    ("K", 2.0, 0.5, 3.0, Method.CLOSED_FORM, False),
+    ("X", 0.3, 0.27, 50.0, Method.ASYMPTOTIC_SERIES, False),
+    ("H+", 0.3, 0.27, 50.0, Method.ASYMPTOTIC_SERIES, False),
+    ("H-", 0.3, 0.5 + 1e-7, 1.0, Method.DIRECT_SERIES, True),
+])
+def test_deriv_reports_method_of_its_values(which, b, m, z, method, loss):
+    d = whittaker_deriv(which, P(b, m), z)
+    assert d.method is method
+    assert d.accuracy_loss is loss
