@@ -2,7 +2,9 @@
 
 Each function returns the closed-form right-hand side, including the
 printed limiting cases at m in {0, +-1/2} and on the diagonal; the
-verification suites check them against quadrature.
+verification suites check them against quadrature.  The H^e integrals at
+positive energy are the K integrals continued to k = -e i mu, since
+H^e(2 mu x) = e^{-e i pi (1/2+m)/2} K(2kx; beta/2k) there.
 """
 
 from __future__ import annotations
@@ -23,11 +25,9 @@ def _near(a, b, tol=SNAP_TOL) -> bool:
     return abs(complex(a) - complex(b)) <= tol * max(1.0, abs(complex(a)), abs(complex(b)))
 
 
-def k_cross(beta, m, k, p) -> complex:
-    """(k^2 - p^2) * int_0^inf K(2kx; beta/2k) K(2px; beta/2p) dx."""
-    beta, m, k, p = complex(beta), complex(m), complex(k), complex(p)
-    if k.real <= 0 or p.real <= 0:
-        raise PreconditionError("Re k, Re p must be > 0")
+def _k_cross(beta, m, k, p) -> complex:
+    """k_cross on Re k, Re p >= 0 (the integral converges for Re k, Re p > 0
+    and continues to the imaginary axis)."""
     dk = beta / (2 * k)
     dp = beta / (2 * p)
     if abs(m) <= SNAP_TOL:
@@ -47,13 +47,25 @@ def k_cross(beta, m, k, p) -> complex:
                * rgamma(0.5 + m - dk) * rgamma(0.5 - m - dp)))
 
 
+def _k_norm_sq(beta, m, k) -> complex:
+    d = beta / (2 * k)
+    return zeta(beta, m, k) * rgamma(0.5 + m - d) * rgamma(0.5 - m - d) / k
+
+
+def k_cross(beta, m, k, p) -> complex:
+    """(k^2 - p^2) * int_0^inf K(2kx; beta/2k) K(2px; beta/2p) dx."""
+    beta, m, k, p = complex(beta), complex(m), complex(k), complex(p)
+    if k.real <= 0 or p.real <= 0:
+        raise PreconditionError("Re k, Re p must be > 0")
+    return _k_cross(beta, m, k, p)
+
+
 def k_norm_sq(beta, m, k) -> complex:
     """int_0^inf K(2kx; beta/2k)^2 dx, through the zeta normalization."""
     beta, m, k = complex(beta), complex(m), complex(k)
     if k.real <= 0:
         raise PreconditionError("Re k must be > 0")
-    d = beta / (2 * k)
-    return zeta(beta, m, k) * rgamma(0.5 + m - d) * rgamma(0.5 - m - d) / k
+    return _k_norm_sq(beta, m, k)
 
 
 def h_cross(beta, m, mu, eta_, edge: int) -> complex:
@@ -63,22 +75,7 @@ def h_cross(beta, m, mu, eta_, edge: int) -> complex:
     e = +1 if edge > 0 else -1
     if not (0 < mu < e * beta.imag and 0 < eta_ < e * beta.imag):
         raise PreconditionError("mu, eta must lie in (0, +-Im beta)")
-    dm = e * 1j * beta / (2 * mu)
-    de = e * 1j * beta / (2 * eta_)
-    if abs(m) <= SNAP_TOL:
-        return (math.sqrt(4 * mu * eta_)
-                * (digamma(0.5 - dm) - digamma(0.5 - de) + math.log(mu) - math.log(eta_))
-                * rgamma(0.5 - dm) * rgamma(0.5 - de))
-    if abs(abs(m.real) - 0.5) <= SNAP_TOL and abs(m.imag) <= SNAP_TOL:
-        return (beta
-                * (0.5 * digamma(1 - dm) + 0.5 * digamma(-dm)
-                   - 0.5 * digamma(1 - de) - 0.5 * digamma(-de)
-                   + math.log(mu) - math.log(eta_))
-                * rgamma(1 - de) * rgamma(1 - dm))
-    return (_PI * cmath.exp(-e * 1j * _PI * m) / cmath.sin(2 * _PI * m)
-            * math.sqrt(4 * mu * eta_)
-            * (mu ** m * eta_ ** (-m) * rgamma(0.5 + m - de) * rgamma(0.5 - m - dm)
-               - eta_ ** m * mu ** (-m) * rgamma(0.5 + m - dm) * rgamma(0.5 - m - de)))
+    return e * 1j * cmath.exp(-e * 1j * _PI * m) * _k_cross(beta, m, -e * 1j * mu, -e * 1j * eta_)
 
 
 def h_norm_sq(beta, m, mu, edge: int) -> complex:
@@ -88,9 +85,7 @@ def h_norm_sq(beta, m, mu, edge: int) -> complex:
     e = +1 if edge > 0 else -1
     if not (0 < mu < e * beta.imag):
         raise PreconditionError("mu must lie in (0, +-Im beta)")
-    d = e * 1j * beta / (2 * mu)
-    return (cmath.exp(-e * 1j * _PI * m) * zeta(beta, m, -e * 1j * mu)
-            * rgamma(0.5 + m - d) * rgamma(0.5 - m - d) / mu)
+    return -e * 1j * cmath.exp(-e * 1j * _PI * m) * _k_norm_sq(beta, m, -e * 1j * mu)
 
 
 def hankel_k_cross(beta, m, k, edge: int) -> complex:
@@ -110,7 +105,8 @@ def hankel_k_cross(beta, m, k, edge: int) -> complex:
         return (-e * 1j / math.sqrt(_PI) * cmath.sqrt(2 * k * beta) * rgamma(0.5 - d)
                 * (digamma(0.5 - d) - ld + e * 1j * _PI)) / (k * k)
     if abs(abs(m.real) - 0.5) <= SNAP_TOL and abs(m.imag) <= SNAP_TOL:
-        return (e * 1j / math.sqrt(_PI) * (2 * k) * rgamma(-d)
+        # H_{-1} = -H_1 (DLMF 10.4.6), while K is even in m
+        return ((1 if m.real > 0 else -1) * e * 1j / math.sqrt(_PI) * (2 * k) * rgamma(-d)
                 * (0.5 * digamma(-d) + 0.5 * digamma(1 - d) - ld + e * 1j * _PI)) / (k * k)
     return (-e * 1j * cmath.sqrt(2 * _PI * k * beta) / cmath.sin(2 * _PI * m)
             * (cmath.exp(-m * ld) * rgamma(0.5 - m - d)

@@ -2,6 +2,10 @@
 for the three boundary-condition families, Green's function kernels
 (including the doubly degenerate lattice), eigenprojection kernels, the
 blow-up reparameterizations, and the self-adjointness predicate.
+
+The families are holomorphic in k: each positive-energy quantity at
+lambda = mu^2 +- i0 is the negative-energy k-form (_kappa, _nu, valid on
+Re k >= 0) continued to k = -+ i mu.
 """
 
 from __future__ import annotations
@@ -104,15 +108,8 @@ def _check_re_k(k: complex):
         raise PreconditionError("Re k must be > 0")
 
 
-def kappa_of_k(beta, m, k) -> complex:
-    """Mixing parameter kappa for which lambda = -k^2 is an eigenvalue.
-
-    Zero on the pure lattice beta/2k - m - 1/2 in N (the denominator gamma
-    pole), infinite on beta/2k + m - 1/2 in N; the latter set is excluded
-    here (the stated condition degenerates) and raises instead.
-    """
-    beta, m, k = complex(beta), complex(m), complex(k)
-    _check_re_k(k)
+def _kappa(beta, m, k) -> complex:
+    """kappa(k) on Re k >= 0; positive energy is k = -+ i mu."""
     d = beta / (2 * k)
     if dist_to_natural(d + m - 0.5) < _LATTICE_TOL:
         raise PreconditionError("beta/2k + m - 1/2 in N is excluded")
@@ -120,38 +117,51 @@ def kappa_of_k(beta, m, k) -> complex:
     return pref * gamma(0.5 - m - d) * rgamma(0.5 + m - d)
 
 
-def inv_kappa_of_k(beta, m, k) -> complex:
-    """1/kappa as a holomorphic condition; used to invert kappa = infinity."""
-    beta, m, k = complex(beta), complex(m), complex(k)
-    _check_re_k(k)
+# the nu-family digamma sums; xi is each sum at -d with the same ln 2k
+def _half_sum(d, k) -> complex:
+    return 0.5 * digamma(1 - d) + 0.5 * digamma(-d) + 2 * EULER_GAMMA - 1 + cmath.log(2 * k)
+
+
+def _zero_sum(d, k) -> complex:
+    return digamma(0.5 - d) + 2 * EULER_GAMMA + cmath.log(2 * k)
+
+
+def _nu(family: Family, beta, k) -> complex:
+    """nu(k) of the 1/2- or 0-family on Re k >= 0."""
     d = beta / (2 * k)
-    if dist_to_natural(d - m - 0.5) < _LATTICE_TOL:
-        raise PreconditionError("beta/2k - m - 1/2 in N is excluded for 1/kappa")
-    pref = principal_pow(2 * k, 2 * m) * gamma(-2 * m) * rgamma(2 * m)
-    return pref * gamma(0.5 + m - d) * rgamma(0.5 - m - d)
+    if family is Family.NU_HALF:
+        if beta == 0:
+            return -k
+        if dist_to_natural(d) < _LATTICE_TOL:
+            raise PreconditionError("beta/2k in N is excluded")
+        return -beta * _half_sum(d, k)
+    if dist_to_natural(d - 0.5) < _LATTICE_TOL:
+        raise PreconditionError("beta/2k - 1/2 in N is excluded")
+    return _zero_sum(d, k)
+
+
+def kappa_of_k(beta, m, k) -> complex:
+    """Mixing parameter kappa for which lambda = -k^2 is an eigenvalue.
+
+    Zero on the pure lattice beta/2k - m - 1/2 in N (the denominator gamma
+    pole), infinite on beta/2k + m - 1/2 in N; the latter set is excluded
+    here (the stated condition degenerates) and raises instead.  1/kappa
+    is kappa at -m.
+    """
+    _check_re_k(k)
+    return _kappa(complex(beta), complex(m), complex(k))
 
 
 def nu_half_of_k(beta, k) -> complex:
     """nu(k) for the m = 1/2 family; reduces to -k as beta -> 0."""
-    beta, k = complex(beta), complex(k)
     _check_re_k(k)
-    if beta == 0:
-        return -k
-    d = beta / (2 * k)
-    if dist_to_natural(d) < _LATTICE_TOL:
-        raise PreconditionError("beta/2k in N is excluded")
-    return -beta * (0.5 * digamma(1 - d) + 0.5 * digamma(-d)
-                    + 2 * EULER_GAMMA - 1 + cmath.log(2 * k))
+    return _nu(Family.NU_HALF, complex(beta), complex(k))
 
 
 def nu_zero_of_k(beta, k) -> complex:
     """nu(k) for the m = 0 family; gamma + ln(k/2) at beta = 0."""
-    beta, k = complex(beta), complex(k)
     _check_re_k(k)
-    d = beta / (2 * k)
-    if dist_to_natural(d - 0.5) < _LATTICE_TOL:
-        raise PreconditionError("beta/2k - 1/2 in N is excluded")
-    return digamma(0.5 - d) + 2 * EULER_GAMMA + cmath.log(2 * k)
+    return _nu(Family.NU_ZERO, complex(beta), complex(k))
 
 
 def _edge_ln(beta, edge: int) -> complex:
@@ -168,16 +178,10 @@ def positive_energy_condition(family: Family, beta, m, mu: float, edge: int) -> 
     mu = float(mu)
     if not (0 < mu < e * beta.imag):
         raise PreconditionError("need 0 < mu < +-Im(beta) matching the edge")
-    d = beta / (2 * mu)
+    k = -e * 1j * mu
     if family is Family.GENERIC:
-        return (cmath.exp(e * 1j * cmath.pi * m) * (2 * mu) ** (-2 * m)
-                * gamma(2 * m) * rgamma(-2 * m)
-                * gamma(0.5 - m - e * 1j * d) * rgamma(0.5 + m - e * 1j * d))
-    if family is Family.NU_HALF:
-        return -beta * (0.5 * digamma(1 - e * 1j * d) + 0.5 * digamma(-e * 1j * d)
-                        + 2 * EULER_GAMMA - 1 + math.log(2 * mu) - e * 1j * cmath.pi / 2)
-    return (digamma(0.5 - e * 1j * d) - e * 1j * cmath.pi / 2
-            + 2 * EULER_GAMMA + math.log(2 * mu))
+        return _kappa(beta, m, k)
+    return _nu(family, beta, k)
 
 
 def zero_energy_condition(family: Family, beta, m, edge: int) -> complex:
@@ -189,10 +193,7 @@ def zero_energy_condition(family: Family, beta, m, edge: int) -> complex:
     if bc == 0:
         raise PreconditionError("beta must be nonzero")
     if family is Family.GENERIC:
-        neg = as_cvalue(-bc)
-        if neg.on_cut:
-            neg = upper_edge(neg.re) if e > 0 else lower_edge(neg.re)
-        return gamma(2 * m) * rgamma(-2 * m) / principal_pow(neg, 2 * m)
+        return gamma(2 * m) * rgamma(-2 * m) / cmath.exp(2 * m * _edge_ln(-bc, e))
     lnb = _edge_ln(bv, e)
     sq_im = (cmath.exp(0.5 * lnb)).imag
     if not e * sq_im > 0:
@@ -211,8 +212,7 @@ def _inv_nu_half(beta, k) -> complex:
     d = beta / (2 * k)
     if dist_to_natural(d) < 1e-13 and abs(d) > 0.5:
         return 0.0 + 0.0j
-    return 1.0 / (-beta * (0.5 * digamma(1 - d) + 0.5 * digamma(-d)
-                           + 2 * EULER_GAMMA - 1 + cmath.log(2 * k)))
+    return 1.0 / (-beta * _half_sum(d, k))
 
 
 def _inv_nu_zero(beta, k) -> complex:
@@ -222,7 +222,7 @@ def _inv_nu_zero(beta, k) -> complex:
     d = beta / (2 * k)
     if dist_to_natural(d - 0.5) < 1e-13:
         return 0.0 + 0.0j
-    return 1.0 / (digamma(0.5 - d) + 2 * EULER_GAMMA + cmath.log(2 * k))
+    return 1.0 / _zero_sum(d, k)
 
 
 def condition_for(bc: BoundaryCondition, params: WhittakerParams):
@@ -230,9 +230,9 @@ def condition_for(bc: BoundaryCondition, params: WhittakerParams):
     beta, m = params.beta, params.m
     if bc.family is Family.GENERIC:
         if is_infinite(bc.value):
-            return (lambda k: inv_kappa_of_k(beta, m, k)), 0.0 + 0.0j
+            return (lambda k: kappa_of_k(beta, -m, k)), 0.0 + 0.0j
         if abs(complex(bc.value)) > 1.0:
-            return (lambda k: inv_kappa_of_k(beta, m, k)), 1.0 / complex(bc.value)
+            return (lambda k: kappa_of_k(beta, -m, k)), 1.0 / complex(bc.value)
         return (lambda k: kappa_of_k(beta, m, k)), complex(bc.value)
     if is_infinite(bc.value):
         fn_inv = _inv_nu_half if bc.family is Family.NU_HALF else _inv_nu_zero
@@ -272,28 +272,22 @@ def omega_generic(beta, m, kappa, k) -> complex:
 
 def omega_half(beta, nu, k) -> complex:
     beta, k = complex(beta), complex(k)
-    d = beta / (2 * k)
-    return (-0.5 * digamma(1 - d) - 0.5 * digamma(-d) - 2 * EULER_GAMMA
-            - cmath.log(2 * k) + 1 - complex(nu) / beta)
+    return -_half_sum(beta / (2 * k), k) - complex(nu) / beta
 
 
 def omega_zero(beta, nu, k) -> complex:
     beta, k = complex(beta), complex(k)
-    d = beta / (2 * k)
-    return digamma(0.5 - d) + 2 * EULER_GAMMA + cmath.log(2 * k) - complex(nu)
+    return _zero_sum(beta / (2 * k), k) - complex(nu)
 
 
 def xi_half(beta, nu, k) -> complex:
     beta, k = complex(beta), complex(k)
-    d = beta / (2 * k)
-    return (0.5 * digamma(1 + d) + 0.5 * digamma(d) + 2 * EULER_GAMMA
-            + cmath.log(2 * k) - 1 + complex(nu) / beta)
+    return _half_sum(-(beta / (2 * k)), k) + complex(nu) / beta
 
 
 def xi_zero(beta, nu, k) -> complex:
     beta, k = complex(beta), complex(k)
-    d = beta / (2 * k)
-    return -digamma(0.5 + d) - 2 * EULER_GAMMA - cmath.log(2 * k) + complex(nu)
+    return -_zero_sum(-(beta / (2 * k)), k) + complex(nu)
 
 
 @_memo
@@ -433,6 +427,12 @@ def _sin_factor(m: complex) -> complex:
     return cmath.sin(2 * cmath.pi * m) / (m * (4 * m * m - 1))
 
 
+def _projection_c(beta, m, k) -> complex:
+    """k Gamma(1/2+m-d) Gamma(1/2-m-d) / zeta(k), d = beta/2k: P / (K K)."""
+    d = beta / (2 * k)
+    return k * gamma(0.5 + m - d) * gamma(0.5 - m - d) / zeta(beta, m, k)
+
+
 def projection_kernel(p: WhittakerParams, pt: SpectralPoint, x: float, y: float) -> complex:
     """Rank-one eigenprojection kernel P(lambda; x, y), bilinear-normalized."""
     beta, m = complex(p.beta), complex(p.m)
@@ -441,20 +441,17 @@ def projection_kernel(p: WhittakerParams, pt: SpectralPoint, x: float, y: float)
     if pt.regime is Regime.NEGATIVE:
         k = complex(pt.k_or_mu)
         _check_re_k(k)
-        d = beta / (2 * k)
-        pw = WhittakerParams(d, m)
-        c = (k * gamma(0.5 + m - d) * gamma(0.5 - m - d) / zeta(beta, m, k))
+        pw = WhittakerParams(beta / (2 * k), m)
+        c = _projection_c(beta, m, k)
         return c * whittaker_k(pw, 2 * k * x).value * whittaker_k(pw, 2 * k * y).value
     if pt.regime in (Regime.POSITIVE_UPPER, Regime.POSITIVE_LOWER):
         e = +1 if pt.regime is Regime.POSITIVE_UPPER else -1
         mu = float(complex(pt.k_or_mu).real)
         if not (0 < mu < e * beta.imag):
             raise PreconditionError("mu outside the admissible strip")
-        d = beta / (2 * mu)
-        pw = WhittakerParams(d, m)
-        c = (cmath.exp(e * 1j * cmath.pi * m) * mu
-             * gamma(0.5 + m - e * 1j * d) * gamma(0.5 - m - e * 1j * d)
-             / zeta(beta, m, -e * 1j * mu))
+        # the k-form at k = -e i mu, where K(2kx) = e^{e i pi (1/2+m)/2} H^e(2 mu x)
+        pw = WhittakerParams(beta / (2 * mu), m)
+        c = e * 1j * cmath.exp(e * 1j * cmath.pi * m) * _projection_c(beta, m, -e * 1j * mu)
         hx = whittaker_h(pw, e, 2 * mu * x).value
         hy = whittaker_h(pw, e, 2 * mu * y).value
         return c * hx * hy

@@ -19,8 +19,9 @@ One code path per job: K and X share one generic combination, one
 logarithmic series and one Laguerre closed form, X being K with
 (beta, z) -> (-beta, -z) where the two differ.  J and H+- are I and K
 rotated by a quarter turn under one rule (_rotation; J rotates toward
-Re w >= 0, where I needs no reflection), and every derivative comes from
-one beta-ladder (_ladder) and reports the method of the values it used.
+Re w >= 0, where I needs no reflection, and sums one I series), and every
+derivative comes from one beta-ladder (_ladder) and reports the method of
+the values it used.
 
 I, K and X are memoized on the exact bits of their inputs (see _memo), so
 resolvent and projection tables, which reuse the same few values at every
@@ -39,7 +40,7 @@ import mpmath as mp
 
 from .branching import Branch, ComplexValue, as_cvalue, principal_ln, principal_pow, rotate_half_pi, rotate_pi
 from .core import Evaluation, Method, digamma, gamma, rgamma
-from .errors import BranchError, DomainError, NonConvergenceError
+from .errors import DomainError, NonConvergenceError
 from .params import SNAP_TOL, WARN_TOL, WhittakerParams, dist_to_integer, dist_to_natural
 
 SERIES_CAP = 40.0          # |z| above which the direct series is refused
@@ -189,12 +190,16 @@ def _run(digits: float, fn):
     mpmath; repeat once at a higher precision if err shows it was needed.
 
     err / (eps |value|) is the cancellation the run actually met, so
-    17 + log10 of it digits deliver a double-accurate value.
+    17 + log10 of it digits deliver a double-accurate value.  An mpmath
+    run's err also counts the final rounding of its value to a double.
     """
     dps = None if digits <= 18.5 else int(math.ceil(digits)) + 4
     (val, err), eps = _run_at(dps, fn)
     if err > _ESCALATE_REL * abs(val) and val != 0:
-        (val, err), _ = _run_at(_rerun_dps(err / (eps * abs(val))), fn)
+        dps = _rerun_dps(err / (eps * abs(val)))
+        (val, err), _ = _run_at(dps, fn)
+    if dps is not None:
+        err += _FB.eps * abs(val)   # the mpmath value's rounding to a double
     return val, err
 
 
@@ -637,21 +642,20 @@ def whittaker_i_ext(p: WhittakerParams, z) -> Evaluation:
 # ---------------------------------------------------------------------------
 # trigonometric rotations
 
-def _rotation(which: str, p: WhittakerParams, zv: ComplexValue, s=None):
+def _rotation(which: str, p: WhittakerParams, zv: ComplexValue):
     """J and H+- as I and K rotated by a quarter turn.
 
     Returns (kind, params, w, prefactor, dz) such that
     which_p(z) = prefactor * kind_params(w) and d/dz = prefactor * dz * d/dw.
     For I, K and X it returns (which, p, zv, None, None).  J rotates toward
     Re w >= 0 (w = e^{i s pi/2} z with s = +1 for arg z <= 0, else -1),
-    where I needs no reflection, unless s is given; H+- rotate by -+pi/2.
+    where I needs no reflection; H+- rotate by -+pi/2.
     """
     if which in ("I", "K", "X"):
         return which, p, zv, None, None
     beta = complex(p.beta)
     if which == "J":
-        if s is None:
-            s = +1 if zv.arg() <= 0 else -1
+        s = +1 if zv.arg() <= 0 else -1
         kind, inner_beta, rs = "I", -s * 1j * beta, s
     elif which in ("H+", "H-"):
         s = +1 if which == "H+" else -1
@@ -673,29 +677,16 @@ def whittaker_h(p: WhittakerParams, sign: int, z) -> Evaluation:
 
 
 def whittaker_j(p: WhittakerParams, z) -> Evaluation:
-    """Rotated regular solution; where both rotations stay on the sheet
-    (|arg z| <= pi/2), they must agree."""
-    zv = as_cvalue(z)
-    results = []
-    for s in (+1, -1):
-        try:
-            _, q, w, pref, _ = _rotation("J", p, zv, s)
-        except BranchError:
-            continue
-        iv = whittaker_i(q, w)
-        results.append(Evaluation(pref * iv.value, abs(pref) * iv.err_est, iv.method))
-    if len(results) == 2:
-        diff = abs(results[0].value - results[1].value)
-        return Evaluation(results[0].value, max(results[0].err_est, diff), results[0].method)
-    return results[0]
+    """Rotated regular solution: one I series, at the quarter turn toward
+    Re w >= 0."""
+    _, q, w, pref, _ = _rotation("J", p, as_cvalue(z))
+    iv = whittaker_i(q, w)
+    return Evaluation(pref * iv.value, abs(pref) * iv.err_est, iv.method)
 
 
 def whittaker_j_ext(p: WhittakerParams, z) -> Evaluation:
     """J for any |z| via the extended regular solution."""
-    zv = as_cvalue(z)
-    if abs(complex(zv)) <= SERIES_CAP:
-        return whittaker_j(p, zv)
-    _, q, w, pref, _ = _rotation("J", p, zv)
+    _, q, w, pref, _ = _rotation("J", p, as_cvalue(z))
     iv = whittaker_i_ext(q, w)
     return Evaluation(pref * iv.value, abs(pref) * iv.err_est, iv.method)
 

@@ -84,3 +84,26 @@ def test_bessel_x2kk_quadrature_m0():
     quad = quad_halfline(f, tol=3e-9).value
     ref = bessel_x2kk(a, b, 0.0)
     assert abs(quad - ref) <= 1e-7 * abs(ref)
+
+
+def test_h_cross_quadrature_m_minus_half():
+    # H_{-1} = -H_1 (DLMF 10.4.6): the m = -1/2 value is minus the m = +1/2 one
+    b, m, mu, eta_, e = 0.4 + 2.0j, -0.5, 0.7, 1.1, +1
+    pm = P(b / (2 * mu), m)
+    pe = P(b / (2 * eta_), m)
+    f = lambda z: (whittaker_h(pm, e, 2 * mu * z).value
+                   * whittaker_h(pe, e, 2 * eta_ * z).value)
+    quad = quad_ray(f, angle=math.pi / 4, tol=3e-7).value * (mu * mu - eta_ * eta_)
+    ref = h_cross(b, m, mu, eta_, e)
+    assert abs(quad - ref) <= 1e-5 * abs(ref)
+
+
+def test_hankel_cross_quadrature_m_minus_half():
+    b, m, k, e = 0.3 + 1.2j, -0.5, 0.9 + 0.1j, +1
+    sq = cmath.sqrt(b)
+    pk = P(b / (2 * k), m)
+    f = lambda x: ((b * x) ** 0.25 * bessel1_h(2 * m, e, 2 * sq * math.sqrt(x)).value
+                   * whittaker_k(pk, 2 * k * x).value)
+    quad = quad_halfline(f, tol=3e-9).value
+    ref = hankel_k_cross(b, m, k, e)
+    assert abs(quad - ref) <= 1e-7 * abs(ref)

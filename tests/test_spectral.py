@@ -76,6 +76,20 @@ def test_positive_energy_conditions():
         positive_energy_condition(Family.GENERIC, beta, 0.3, 1.0, -1)  # wrong edge
 
 
+@pytest.mark.parametrize("e", [+1, -1])
+@pytest.mark.parametrize("family,cond", [
+    (Family.GENERIC, lambda b, k: kappa_of_k(b, 0.3, k)),
+    (Family.NU_HALF, nu_half_of_k),
+    (Family.NU_ZERO, nu_zero_of_k),
+])
+def test_positive_energy_is_the_continuation_from_re_k_positive(family, cond, e):
+    # lambda = mu^2 + e i0 is k = -e i mu, approached from Re k > 0
+    b, mu = 0.4 + e * 2.0j, 0.7
+    got = positive_energy_condition(family, b, 0.3, mu, e)
+    ref = cond(b, 1e-9 - e * 1j * mu)
+    assert abs(got - ref) <= 1e-6 * abs(ref)
+
+
 def test_zero_energy_conditions():
     # kappa = Gamma(1/2)/Gamma(-1/2) = -1/2 at beta=-1, m=1/4
     v = zero_energy_condition(Family.GENERIC, -1.0, 0.25, +1)

@@ -434,3 +434,35 @@ def test_deriv_reports_method_of_its_values(which, b, m, z, method, loss):
     d = whittaker_deriv(which, P(b, m), z)
     assert d.method is method
     assert d.accuracy_loss is loss
+
+
+def test_j_sums_one_i_series(monkeypatch):
+    import coulombw.whittaker as wmod
+    calls = []
+    inner = wmod._i_value
+
+    def spy(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(wmod, "_i_value", spy)
+    p = P(0.3 + 0.2j, 0.27)
+    for z in (2 - 1j, 2 + 1j):
+        whittaker_i.cache_clear()
+        calls.clear()
+        jv = whittaker_j(p, z).value
+        assert len(calls) == 1
+        # J(z) = e^{-s i pi (1/2+m)/2} I_{-s i beta}(e^{s i pi/2} z), s = -sign(arg z)
+        s = 1 if z.imag < 0 else -1
+        ref = (cmath.exp(-s * 1j * math.pi / 2 * (0.5 + 0.27))
+               * whittaker_i(P(-s * 1j * p.beta, 0.27), 1j * s * z).value)
+        assert abs(jv - ref) <= 1e-15 * abs(ref)
+
+
+@pytest.mark.parametrize("fn,z", [(whittaker_i, 12j), (whittaker_k, 12 - 1j), (whittaker_x, 12 - 1j)])
+def test_mpmath_err_est_counts_the_rounding_to_double(fn, z):
+    # these run in mpmath, whose own error is ~1e-22; the returned double
+    # carries at least half an ulp more
+    fn.cache_clear()
+    ev = fn(P(0.3 + 0.1j, 0.27), z)
+    assert ev.err_est >= 1.1e-16 * abs(ev.value)
