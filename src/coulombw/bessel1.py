@@ -14,7 +14,7 @@ import math
 
 from .branching import ComplexValue, as_cvalue, principal_ln, principal_pow, principal_sqrt, rotate_half_pi
 from .core import EULER_GAMMA, Evaluation, Method, gamma
-from .errors import BranchError, DomainError
+from .errors import DomainError
 from .params import SNAP_TOL, WhittakerParams, dist_to_integer
 from .whittaker import (
     laguerre,
@@ -152,95 +152,59 @@ class BesselSolution:
 # ---------------------------------------------------------------------------
 # zero-energy solutions of  (-d^2/dx^2 + (m^2-1/4)/x^2 - beta/x) f = 0
 
-def _sqrt_beta(beta) -> complex:
-    bv = as_cvalue(beta)
-    if bv.on_cut and bv.branch.value == "principal":
-        raise BranchError("beta on (-inf,0) requires an edge tag for sqrt(beta)")
-    return principal_sqrt(bv)
-
-
 def zero_energy_j(beta, m, x: float) -> complex:
     """Regular zero-energy solution; x^{m+1/2} when beta = 0."""
-    m = complex(m)
-    xv = float(x)
-    if xv <= 0:
-        raise DomainError("x must be > 0")
-    bv = as_cvalue(beta)
-    bc = complex(bv)
-    if bc == 0:
-        return xv ** 0.0 * cmath.exp((m + 0.5) * math.log(xv))
-    w = 2.0 * _sqrt_beta(bv) * math.sqrt(xv)
-    c = gamma(1 + 2 * m) / SQRT_PI * principal_pow(bv, -0.25 - m)
-    return c * xv ** 0.25 * bessel1_j(2 * m, w).value
+    return ZeroEnergySolution("j", beta, m).value(x)
 
 
 def zero_energy_y(beta, m, x: float) -> complex:
     """Logarithmic companion for m = 0 or m = 1/2 (m = -1/2 maps to 1/2)."""
-    m = complex(m)
-    xv = float(x)
-    if xv <= 0:
-        raise DomainError("x must be > 0")
-    if abs(m) > SNAP_TOL and abs(abs(m) - 0.5) > SNAP_TOL:
-        raise DomainError("zero-energy y is defined for m in {0, 1/2} only")
-    half = abs(abs(m) - 0.5) <= SNAP_TOL
-    bv = as_cvalue(beta)
-    bc = complex(bv)
-    if bc == 0:
-        return complex(1.0) if half else math.sqrt(xv) * math.log(xv)
-    lnb = principal_ln(bv)
-    w = 2.0 * _sqrt_beta(bv) * math.sqrt(xv)
-    if half:
-        c = principal_pow(bv, 0.25) * xv ** 0.25
-        return c * (-SQRT_PI * bessel1_y(1.0, w).value
-                    + (lnb + 2 * EULER_GAMMA - 1) / SQRT_PI * bessel1_j(1.0, w).value)
-    c = principal_pow(bv, -0.25) * xv ** 0.25
-    return c * (SQRT_PI * bessel1_y(0.0, w).value
-                - (lnb + 2 * EULER_GAMMA) / SQRT_PI * bessel1_j(0.0, w).value)
+    return ZeroEnergySolution("y", beta, m).value(x)
 
 
 class ZeroEnergySolution:
-    """Value/derivative handle for the zero-energy j and y solutions."""
+    """Value/derivative handle for the zero-energy j and y solutions.
+
+    Each solution is x^{1/4} V(w), w = 2 sqrt(beta x), for a Bessel-type V
+    (or an elementary form when beta = 0); derivatives by the chain rule
+    with w'(x) = 2 beta / w.  j is x^{1/4} Gamma(1+2m)/sqrt(pi)
+    beta^{-1/4-m} J_{2m}(w).  y exists at the orders mm = 0 and mm = 1/2 of
+    the nu-families (m = -1/2 maps to 1/2) and is one formula in mm:
+
+        (-1)^{2mm} beta^{mm-1/4} x^{1/4} (sqrt(pi) Y_{2mm}(w)
+                                          - (ln beta + 2 gamma - 2mm)/sqrt(pi) J_{2mm}(w)).
+    """
 
     def __init__(self, kind: str, beta, m):
         if kind not in ("j", "y"):
             raise DomainError("kind must be 'j' or 'y'")
+        m = complex(m)
+        if kind == "y":
+            if abs(m) <= SNAP_TOL:
+                m = 0.0
+            elif abs(abs(m.real) - 0.5) <= SNAP_TOL and abs(m.imag) <= SNAP_TOL:
+                m = 0.5
+            else:
+                raise DomainError("zero-energy y is defined for m in {0, 1/2} only")
         self.kind = kind
         self.beta = as_cvalue(beta)
-        self.m = complex(m)
-
-    # each solution is x^{1/4} V(2 sqrt(beta x)) for a Bessel-type V (or an
-    # elementary form when beta = 0); derivatives by the chain rule with
-    # w'(x) = 2 beta / w.
+        self.m = m
 
     def _parts(self):
-        bv = self.beta
+        bv, m = self.beta, self.m
         if self.kind == "j":
-            c = gamma(1 + 2 * self.m) / SQRT_PI * principal_pow(bv, -0.25 - self.m)
-            return [(c, BesselSolution("J", 2 * self.m))]
-        half = abs(abs(self.m) - 0.5) <= SNAP_TOL
-        lnb = principal_ln(bv)
-        if half:
-            c = principal_pow(bv, 0.25)
-            return [
-                (-c * SQRT_PI, BesselSolution("Y", 1.0)),
-                (c * (lnb + 2 * EULER_GAMMA - 1) / SQRT_PI, BesselSolution("J", 1.0)),
-            ]
-        c = principal_pow(bv, -0.25)
-        return [
-            (c * SQRT_PI, BesselSolution("Y", 0.0)),
-            (-c * (lnb + 2 * EULER_GAMMA) / SQRT_PI, BesselSolution("J", 0.0)),
-        ]
+            c = gamma(1 + 2 * m) / SQRT_PI * principal_pow(bv, -0.25 - m)
+            return [(c, BesselSolution("J", 2 * m))]
+        c = (-1.0) ** (2 * m) * principal_pow(bv, m - 0.25)
+        lam = principal_ln(bv) + 2 * EULER_GAMMA - 2 * m
+        return [(c * SQRT_PI, BesselSolution("Y", 2 * m)),
+                (-c * lam / SQRT_PI, BesselSolution("J", 2 * m))]
 
     def _beta_zero(self, x, order):
-        half = abs(abs(self.m) - 0.5) <= SNAP_TOL
         if self.kind == "j":
             e = self.m + 0.5
-            if order == 0:
-                return cmath.exp(e * math.log(x))
-            if order == 1:
-                return e * cmath.exp((e - 1) * math.log(x))
-            return e * (e - 1) * cmath.exp((e - 2) * math.log(x))
-        if half:
+            return (1.0, e, e * (e - 1))[order] * cmath.exp((e - order) * math.log(x))
+        if self.m:
             return (1.0, 0.0, 0.0)[order] + 0.0j
         ln = math.log(x)
         if order == 0:
@@ -249,31 +213,36 @@ class ZeroEnergySolution:
             return (0.5 * ln + 1.0) / math.sqrt(x) + 0.0j
         return (-0.25 * ln + 0.0) / x ** 1.5 + 0.0j
 
-    def value(self, x) -> complex:
+    def _w(self, x):
+        """(x, w) with x checked and w = 2 sqrt(beta x); w is None at beta = 0."""
         x = float(x)
+        if not x > 0:
+            raise DomainError("x must be > 0")
         if complex(self.beta) == 0:
+            return x, None
+        return x, 2.0 * principal_sqrt(self.beta) * math.sqrt(x)
+
+    def value(self, x) -> complex:
+        x, w = self._w(x)
+        if w is None:
             return self._beta_zero(x, 0)
-        w = 2.0 * _sqrt_beta(self.beta) * math.sqrt(x)
         return sum(c * sol.value(w) for c, sol in self._parts()) * x ** 0.25
 
     def deriv(self, x) -> complex:
-        x = float(x)
-        if complex(self.beta) == 0:
+        x, w = self._w(x)
+        if w is None:
             return self._beta_zero(x, 1)
-        b = complex(self.beta)
-        w = 2.0 * _sqrt_beta(self.beta) * math.sqrt(x)
-        wp = 2.0 * b / w
+        wp = 2.0 * complex(self.beta) / w
         tot = 0.0j
         for c, sol in self._parts():
             tot += c * (0.25 * x ** -0.75 * sol.value(w) + x ** 0.25 * sol.deriv(w) * wp)
         return tot
 
     def deriv2(self, x) -> complex:
-        x = float(x)
-        if complex(self.beta) == 0:
+        x, w = self._w(x)
+        if w is None:
             return self._beta_zero(x, 2)
         b = complex(self.beta)
-        w = 2.0 * _sqrt_beta(self.beta) * math.sqrt(x)
         wp = 2.0 * b / w
         wpp = -4.0 * b * b / w ** 3
         tot = 0.0j

@@ -71,15 +71,21 @@ def lower_edge(x: float) -> ComplexValue:
     return ComplexValue(float(x), 0.0, Branch.LOWER_EDGE)
 
 
+def _check_cut(zv: ComplexValue) -> ComplexValue:
+    """zv itself, unless it lies on the cut (-inf,0) without an edge tag
+    (the sign of a zero imaginary part is not read as one)."""
+    if zv.branch is Branch.PRINCIPAL and zv.on_cut:
+        raise BranchError("point on the cut (-inf,0) requires an edge tag")
+    return zv
+
+
 def principal_ln(z) -> complex:
     """ln z on C \\ (-inf,0], honoring edge tags (arg = +-pi on the cut)."""
-    zv = as_cvalue(z)
+    zv = _check_cut(as_cvalue(z))
     zc = complex(zv)
     if zc == 0:
         raise DomainError("ln(0) is undefined")
     if zv.branch is Branch.PRINCIPAL:
-        if zv.on_cut:
-            raise BranchError("point on the cut (-inf,0) requires an edge tag")
         return cmath.log(zc)
     return complex(math.log(abs(zc)), zv.arg())
 

@@ -117,27 +117,52 @@ def _kappa(beta, m, k) -> complex:
     return pref * gamma(0.5 - m - d) * rgamma(0.5 + m - d)
 
 
-# the nu-family digamma sums; xi is each sum at -d with the same ln 2k
-def _half_sum(d, k) -> complex:
-    return 0.5 * digamma(1 - d) + 0.5 * digamma(-d) + 2 * EULER_GAMMA - 1 + cmath.log(2 * k)
+# The nu-families are the orders mm = 1/2 and mm = 0 of one construction:
+# nu = w S(d) with w = -beta (mm = 1/2) or 1 (mm = 0) and
+#   S(d) = psi(1/2+mm-d)/2 + psi(1/2-mm-d)/2 + 2 gamma - 2mm + ln 2k,
+# poles on the lattice n = d - 1/2 + mm in N.  omega is (-1)^{2mm} (S - nu/w)
+# and xi is -omega at -d.
+
+def _order(family: Family) -> float:
+    return 0.5 if family is Family.NU_HALF else 0.0
 
 
-def _zero_sum(d, k) -> complex:
-    return digamma(0.5 - d) + 2 * EULER_GAMMA + cmath.log(2 * k)
+def _lattice_index(mm, d, tol):
+    """The pole n = d - 1/2 + mm of nu when it lies within tol of N, else
+    None.  The 1/2-family's n = 0 is d = 0, where w = -beta cancels the
+    pole of S (nu -> -k), so that family's poles start at n = 1."""
+    n = d - 0.5 + mm
+    if dist_to_natural(n) < tol and round(n.real) >= 2 * mm:
+        return round(n.real)
+    return None
 
 
-def _nu(family: Family, beta, k) -> complex:
-    """nu(k) of the 1/2- or 0-family on Re k >= 0."""
+def _nu_sum(mm, d, k):
+    """S(d) and the sum of its terms' moduli; one digamma call at mm = 0."""
+    lo = digamma(0.5 - mm - d)
+    ln2k = cmath.log(2 * k)
+    if mm:
+        hi = digamma(0.5 + mm - d)
+        psi, size = 0.5 * hi + 0.5 * lo, abs(hi) / 2 + abs(lo) / 2
+    else:
+        psi, size = lo, abs(lo)
+    return psi + 2 * EULER_GAMMA - 2 * mm + ln2k, size + 2 * EULER_GAMMA + abs(ln2k) + 2 * mm
+
+
+def _nu_value(mm, beta, d, k) -> complex:
+    """w S(d), unchecked; the 1/2-family's limit -k at beta = 0."""
+    if mm and beta == 0:
+        return -k
+    s = _nu_sum(mm, d, k)[0]
+    return -beta * s if mm else s
+
+
+def _nu(mm, beta, k) -> complex:
+    """nu(k) of the order-mm family on Re k >= 0."""
     d = beta / (2 * k)
-    if family is Family.NU_HALF:
-        if beta == 0:
-            return -k
-        if dist_to_natural(d) < _LATTICE_TOL:
-            raise PreconditionError("beta/2k in N is excluded")
-        return -beta * _half_sum(d, k)
-    if dist_to_natural(d - 0.5) < _LATTICE_TOL:
-        raise PreconditionError("beta/2k - 1/2 in N is excluded")
-    return _zero_sum(d, k)
+    if _lattice_index(mm, d, _LATTICE_TOL) is not None:
+        raise PreconditionError("the poles beta/2k - 1/2 + m in N are excluded")
+    return _nu_value(mm, beta, d, k)
 
 
 def kappa_of_k(beta, m, k) -> complex:
@@ -155,13 +180,13 @@ def kappa_of_k(beta, m, k) -> complex:
 def nu_half_of_k(beta, k) -> complex:
     """nu(k) for the m = 1/2 family; reduces to -k as beta -> 0."""
     _check_re_k(k)
-    return _nu(Family.NU_HALF, complex(beta), complex(k))
+    return _nu(0.5, complex(beta), complex(k))
 
 
 def nu_zero_of_k(beta, k) -> complex:
     """nu(k) for the m = 0 family; gamma + ln(k/2) at beta = 0."""
     _check_re_k(k)
-    return _nu(Family.NU_ZERO, complex(beta), complex(k))
+    return _nu(0.0, complex(beta), complex(k))
 
 
 def _edge_ln(beta, edge: int) -> complex:
@@ -181,7 +206,7 @@ def positive_energy_condition(family: Family, beta, m, mu: float, edge: int) -> 
     k = -e * 1j * mu
     if family is Family.GENERIC:
         return _kappa(beta, m, k)
-    return _nu(family, beta, k)
+    return _nu(_order(family), beta, k)
 
 
 def zero_energy_condition(family: Family, beta, m, edge: int) -> complex:
@@ -198,31 +223,21 @@ def zero_energy_condition(family: Family, beta, m, edge: int) -> complex:
     sq_im = (cmath.exp(0.5 * lnb)).imag
     if not e * sq_im > 0:
         raise PreconditionError("need +-Im sqrt(beta) > 0 matching the edge")
-    if family is Family.NU_HALF:
-        return -bc * (lnb + 2 * EULER_GAMMA - 1 - e * 1j * cmath.pi)
-    return lnb + 2 * EULER_GAMMA + 2 * math.log(2.0) - e * 1j * cmath.pi
+    # the k -> 0 limit of S along k = -e i mu: psi(1/2 +- mm - d) + ln 2k
+    # -> ln(-beta) = ln beta - e i pi
+    mm = _order(family)
+    s = lnb + 2 * EULER_GAMMA - 2 * mm - e * 1j * cmath.pi
+    return -bc * s if mm else s
 
 
-def _inv_nu_half(beta, k) -> complex:
-    """1/nu for the 1/2-family; analytic zero on the pole lattice."""
-    beta, k = complex(beta), complex(k)
-    _check_re_k(k)
-    if beta == 0:
-        return -1.0 / k
-    d = beta / (2 * k)
-    if dist_to_natural(d) < 1e-13 and abs(d) > 0.5:
-        return 0.0 + 0.0j
-    return 1.0 / (-beta * _half_sum(d, k))
-
-
-def _inv_nu_zero(beta, k) -> complex:
-    """1/nu for the 0-family; analytic zero on the pole lattice."""
+def _inv_nu(mm, beta, k) -> complex:
+    """1/nu of the order-mm family; analytic zero on the pole lattice."""
     beta, k = complex(beta), complex(k)
     _check_re_k(k)
     d = beta / (2 * k)
-    if dist_to_natural(d - 0.5) < 1e-13:
+    if _lattice_index(mm, d, 1e-13) is not None:
         return 0.0 + 0.0j
-    return 1.0 / _zero_sum(d, k)
+    return 1.0 / _nu_value(mm, beta, d, k)
 
 
 def condition_for(bc: BoundaryCondition, params: WhittakerParams):
@@ -234,10 +249,10 @@ def condition_for(bc: BoundaryCondition, params: WhittakerParams):
         if abs(complex(bc.value)) > 1.0:
             return (lambda k: kappa_of_k(beta, -m, k)), 1.0 / complex(bc.value)
         return (lambda k: kappa_of_k(beta, m, k)), complex(bc.value)
+    mm = _order(bc.family)
     if is_infinite(bc.value):
-        fn_inv = _inv_nu_half if bc.family is Family.NU_HALF else _inv_nu_zero
-        return (lambda k: fn_inv(beta, k)), 0.0 + 0.0j
-    fn = nu_half_of_k if bc.family is Family.NU_HALF else nu_zero_of_k
+        return (lambda k: _inv_nu(mm, beta, k)), 0.0 + 0.0j
+    fn = nu_half_of_k if mm else nu_zero_of_k
     return (lambda k: fn(beta, k)), complex(bc.value)
 
 
@@ -270,24 +285,30 @@ def omega_generic(beta, m, kappa, k) -> complex:
     return (gp + kappa * gm) / (kappa * gm) * cmath.pi / cmath.sin(2 * cmath.pi * m)
 
 
+def _omega(mm, beta, nu, k, at_minus_d=False):
+    """omega of the mm-family (at -d for xi = -omega(-d)) and the scale its
+    zero is tested against."""
+    beta, nu, k = complex(beta), complex(nu), complex(k)
+    d = beta / (2 * k)
+    s, scale = _nu_sum(mm, -d if at_minus_d else d, k)
+    nw = nu / -beta if mm else nu
+    return (-1.0) ** (2 * mm) * (s - nw), scale + abs(nw)
+
+
 def omega_half(beta, nu, k) -> complex:
-    beta, k = complex(beta), complex(k)
-    return -_half_sum(beta / (2 * k), k) - complex(nu) / beta
+    return _omega(0.5, beta, nu, k)[0]
 
 
 def omega_zero(beta, nu, k) -> complex:
-    beta, k = complex(beta), complex(k)
-    return _zero_sum(beta / (2 * k), k) - complex(nu)
+    return _omega(0.0, beta, nu, k)[0]
 
 
 def xi_half(beta, nu, k) -> complex:
-    beta, k = complex(beta), complex(k)
-    return _half_sum(-(beta / (2 * k)), k) + complex(nu) / beta
+    return -_omega(0.5, beta, nu, k, at_minus_d=True)[0]
 
 
 def xi_zero(beta, nu, k) -> complex:
-    beta, k = complex(beta), complex(k)
-    return -_zero_sum(-(beta / (2 * k)), k) + complex(nu)
+    return -_omega(0.0, beta, nu, k, at_minus_d=True)[0]
 
 
 @_memo
@@ -365,54 +386,29 @@ def resolvent_kernel(q: KernelQuery) -> complex:
         return u * whittaker_k(pw, zl).value / (2 * k * den)
 
     nu = q.bc.value
-    if q.bc.family is Family.NU_HALF:
-        mm = 0.5
-        on_lattice = dist_to_natural(d) <= SNAP_TOL and abs(d) > 0.5
-        if is_infinite(nu):
-            return _pure_kernel(beta, mm, k, xs, xl)
-        if on_lattice:
-            # X-based kernel on the lattice beta/2k in N; the overall sign
-            # is fixed by the jump condition Wr(u, K) = -1, which the
-            # boundary mixture with (-1)^n X fails by -1 for every n
-            # (checked against both the nearby regular kernel and the
-            # applied-operator residual), hence the leading minus.
-            n = round(d.real)
-            xi = xi_half(beta, nu, k)
-            pwm = WhittakerParams(d, mm)
-            u = ((-1.0) ** (n + 1) * whittaker_x(pwm, zs).value
-                 - xi * rgamma(d) * rgamma(1 + d) * whittaker_k(pwm, zs).value)
-            return u * whittaker_k(pwm, zl).value / (2 * k)
-        om = omega_half(beta, nu, k)
-        scale = (abs(digamma(1 - d)) / 2 + abs(digamma(-d)) / 2 + 2 * EULER_GAMMA
-                 + abs(cmath.log(2 * k)) + 1 + abs(complex(nu) / beta))
-        if abs(om) <= _SPECTRUM_TOL * scale:
-            raise SpectrumHit("omega vanished: -k^2 is an eigenvalue", k=k)
-        pwm = WhittakerParams(d, mm)
-        u = (om * rgamma(-d) * whittaker_i_ext(pwm, zs).value
-             + whittaker_k(pwm, zs).value)
-        return gamma(-d) * gamma(1 - d) / (2 * k * om) * u * whittaker_k(pwm, zl).value
-
-    # NU_ZERO
-    mm = 0.0
-    on_lattice = dist_to_natural(d - 0.5) <= SNAP_TOL
+    mm = _order(q.bc.family)
     if is_infinite(nu):
         return _pure_kernel(beta, mm, k, xs, xl)
-    if on_lattice:
-        n = round((d - 0.5).real)
-        xi = xi_zero(beta, nu, k)
-        pwm = WhittakerParams(d, mm)
+    pwm = WhittakerParams(d, mm)
+    n = _lattice_index(mm, d, SNAP_TOL)
+    if n is not None:
+        # X-based kernel on the doubly degenerate lattice; the overall sign
+        # is fixed by the jump condition Wr(u, K) = -1, which the boundary
+        # mixture with (-1)^n X fails by -1 for every n (checked against
+        # both the nearby regular kernel and the applied-operator
+        # residual), hence the leading minus.
+        xi = -_omega(mm, beta, nu, k, at_minus_d=True)[0]
         u = ((-1.0) ** (n + 1) * whittaker_x(pwm, zs).value
-             + xi * rgamma(0.5 + d) ** 2 * whittaker_k(pwm, zs).value)
+             + (-1.0) ** (2 * mm) * xi * (rgamma(0.5 - mm + d) * rgamma(0.5 + mm + d))
+             * whittaker_k(pwm, zs).value)
         return u * whittaker_k(pwm, zl).value / (2 * k)
-    om = omega_zero(beta, nu, k)
-    scale = (abs(digamma(0.5 - d)) + 2 * EULER_GAMMA + abs(cmath.log(2 * k))
-             + abs(complex(nu)))
+    om, scale = _omega(mm, beta, nu, k)
     if abs(om) <= _SPECTRUM_TOL * scale:
         raise SpectrumHit("omega vanished: -k^2 is an eigenvalue", k=k)
-    pwm = WhittakerParams(d, mm)
-    u = (om * rgamma(0.5 - d) * whittaker_i_ext(pwm, zs).value
+    u = (om * rgamma(0.5 - mm - d) * whittaker_i_ext(pwm, zs).value
          + whittaker_k(pwm, zs).value)
-    return gamma(0.5 - d) ** 2 / (2 * k * om) * u * whittaker_k(pwm, zl).value
+    return (gamma(0.5 - mm - d) * gamma(0.5 + mm - d) / (2 * k * om)
+            * u * whittaker_k(pwm, zl).value)
 
 
 # ---------------------------------------------------------------------------

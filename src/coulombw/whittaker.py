@@ -38,7 +38,8 @@ import struct
 
 import mpmath as mp
 
-from .branching import Branch, ComplexValue, as_cvalue, principal_ln, principal_pow, rotate_half_pi, rotate_pi
+from .branching import (Branch, ComplexValue, _check_cut, as_cvalue, principal_ln, principal_pow,
+                        rotate_half_pi, rotate_pi)
 from .core import Evaluation, Method, digamma, gamma, rgamma
 from .errors import DomainError, NonConvergenceError
 from .params import SNAP_TOL, WARN_TOL, WhittakerParams, dist_to_integer, dist_to_natural
@@ -169,7 +170,7 @@ class _MB:
 
     @staticmethod
     def ln_tagged(zv: ComplexValue):
-        zc = complex(zv)
+        zc = complex(_check_cut(zv))
         if zv.branch is Branch.PRINCIPAL:
             return mp.log(mp.mpc(zc))
         return mp.mpc(mp.log(abs(mp.mpc(zc)))) + mp.mpc(0, 1) * zv.arg() / math.pi * mp.pi
@@ -499,11 +500,16 @@ def _generic_value(beta, m, zv: ComplexValue, digits: float, sgn: int) -> Evalua
         if sgn > 0:
             combo = -g_plus * zp * s_plus + g_minus * zm * s_minus
         else:
-            combo = g_plus * zp * s_plus - be.cos(2 * be.pi * mm) * g_minus * zm * s_minus
+            g_minus = be.cos(2 * be.pi * mm) * g_minus
+            combo = g_plus * zp * s_plus - g_minus * zm * s_minus
         factor = sgn * be.pi / be.sin(2 * be.pi * mm)
         val = factor * base * combo
+        # each series' error is weighted by the Gamma coefficient it is
+        # multiplied by: |rgamma| >> 1 at large |beta|, and the re-run in
+        # _run only fires when err_est shows that growth
         scale = be.mag(factor) * be.mag(base) * (
-            be.mag(zp) * (be.eps * mx_p + last_p) + be.mag(zm) * (be.eps * mx_m + last_m)
+            be.mag(g_plus) * be.mag(zp) * (be.eps * mx_p + last_p)
+            + be.mag(g_minus) * be.mag(zm) * (be.eps * mx_m + last_m)
         )
         return be.to_complex(val), float(scale)
 

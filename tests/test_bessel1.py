@@ -104,6 +104,22 @@ def test_zero_energy_values():
     assert cmath.isfinite(v)
 
 
+def test_zero_energy_handle_checks():
+    # y exists at m in {0, +-1/2} only, and x must be positive, for the
+    # handle as for zero_energy_y/j, which return its value
+    for m in (0.3, 0.5j):
+        with pytest.raises(DomainError):
+            ZeroEnergySolution("y", 0.7, m)
+        with pytest.raises(DomainError):
+            zero_energy_y(0.7, m, 1.0)
+    for kind, m in (("j", 0.3), ("y", 0.0), ("y", 0.5)):
+        h = ZeroEnergySolution(kind, 0.7, m)
+        for f in (h.value, h.deriv, h.deriv2):
+            with pytest.raises(DomainError):
+                f(-1.0)
+    assert zero_energy_y(0.7, -0.5, 1.3) == ZeroEnergySolution("y", 0.7, 0.5).value(1.3)
+
+
 def test_zero_energy_small_x():
     b, m = 0.7, 0.23
     for x in (1e-3, 1e-4):

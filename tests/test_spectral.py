@@ -4,6 +4,7 @@ import math
 import mpmath as mp
 import pytest
 
+from coulombw.bessel1 import BesselSolution, ZeroEnergySolution
 from coulombw.core import EULER_GAMMA, gamma, rgamma, trigamma
 from coulombw.errors import PreconditionError, SpectrumHit
 from coulombw.params import WhittakerParams as P
@@ -58,6 +59,8 @@ def test_nu_limits():
     assert abs(nu_zero_of_k(0, 1.3) - (EULER_GAMMA + math.log(1.3 / 2))) <= 1e-13
     v4, v5 = nu_half_of_k(1e-4, 0.9), nu_half_of_k(1e-5, 0.9)
     assert abs((v5 - (v4 - v5) / 9) + 0.9) <= 1e-8
+    # beta/2k within the lattice tolerance of 0 is no pole: w = -beta cancels it
+    assert abs(nu_half_of_k(1e-12, 0.9) + 0.9) <= 1e-10
 
 
 def test_positive_energy_conditions():
@@ -94,13 +97,34 @@ def test_zero_energy_conditions():
     # kappa = Gamma(1/2)/Gamma(-1/2) = -1/2 at beta=-1, m=1/4
     v = zero_energy_condition(Family.GENERIC, -1.0, 0.25, +1)
     assert abs(v - (-0.5)) <= 1e-12
-    # nu-zero at beta = i, upper edge
+    # nu-zero at beta = i, upper edge: ln i + 2 gamma - i pi
     v = zero_energy_condition(Family.NU_ZERO, 1j, 0.0, +1)
-    ref = 2 * EULER_GAMMA + 2 * math.log(2) - 1j * math.pi / 2
+    ref = 2 * EULER_GAMMA - 1j * math.pi / 2
     assert abs(v - ref) <= 1e-13
     v = zero_energy_condition(Family.NU_HALF, 1j, 0.5, +1)
     ref = -1j * (cmath.log(1j) + 2 * EULER_GAMMA - 1 - 1j * cmath.pi)
     assert abs(v - ref) <= 1e-13
+
+
+@pytest.mark.parametrize("family,mm", [(Family.NU_HALF, 0.5), (Family.NU_ZERO, 0.0)])
+@pytest.mark.parametrize("beta", [0.4 + 1.3j, -0.7 + 0.9j, 0.9 - 1.1j])
+def test_zero_energy_condition_is_the_limit_and_the_wronskian_ratio(family, mm, beta):
+    # the edge is the one on which h decays: e Im sqrt(beta) > 0 (both
+    # edges occur among the three betas)
+    e = 1 if cmath.sqrt(beta).imag > 0 else -1
+    got = zero_energy_condition(family, beta, mm, e)
+    # lambda = mu^2 + e i0 -> 0
+    lim = positive_energy_condition(family, beta, mm, 1e-4, e)
+    assert abs(got - lim) <= 1e-8 * abs(got)
+    # nu makes y + nu j proportional to the decaying h = x^{1/4} H^e(2 sqrt(beta x))
+    j, y = ZeroEnergySolution("j", beta, mm), ZeroEnergySolution("y", beta, mm)
+    hs, sq = BesselSolution("H", 2 * mm, e), cmath.sqrt(beta)
+    for x in (0.7, 1.9):
+        w = 2 * sq * math.sqrt(x)
+        h = x ** 0.25 * hs.value(w)
+        dh = 0.25 * x ** -0.75 * hs.value(w) + x ** 0.25 * hs.deriv(w) * 2 * beta / w
+        ratio = -(y.value(x) * dh - y.deriv(x) * h) / (j.value(x) * dh - j.deriv(x) * h)
+        assert abs(got - ratio) <= 1e-11 * abs(got)
 
 
 def test_zeta():

@@ -8,7 +8,7 @@ import pytest
 
 from coulombw.branching import lower_edge, upper_edge
 from coulombw.core import Method, gamma, rgamma
-from coulombw.errors import DomainError, NonConvergenceError
+from coulombw.errors import BranchError, DomainError, NonConvergenceError
 from coulombw.params import WhittakerParams as P
 from coulombw.whittaker import (WhittakerSolution, laguerre,
                                 whittaker_deriv, whittaker_h, whittaker_i,
@@ -466,3 +466,29 @@ def test_mpmath_err_est_counts_the_rounding_to_double(fn, z):
     fn.cache_clear()
     ev = fn(P(0.3 + 0.1j, 0.27), z)
     assert ev.err_est >= 1.1e-16 * abs(ev.value)
+
+
+# ---------------------------------------------------------------------------
+# err_est weighted by the Gamma coefficients; one cut rule for K and X
+
+@pytest.mark.parametrize("b", [40 + 0.3j, 20 + 0.3j])
+def test_k_at_large_beta_reruns_on_gamma_weighted_err_est(b):
+    # |rgamma(1/2 -+ m - beta)| >> 1 multiplies the series errors; an
+    # err_est without that weight is ~1e-56 and 2e-29 of |ref| here, too
+    # small to re-run values that are 1e-10 and 1.5e-12 off
+    whittaker_k.cache_clear()
+    kv = whittaker_k(P(b, 0.27), 2.0)
+    with mp.workdps(60):
+        ref = complex(mp.whitw(b, 0.27, 2))
+    assert abs(kv.value - ref) <= 1e-14 * abs(ref)
+    assert abs(kv.value - ref) <= 10 * kv.err_est + 4 * 2.3e-16 * abs(ref)
+
+
+@pytest.mark.parametrize("fn", [whittaker_k, whittaker_x])
+@pytest.mark.parametrize("r", [2.5, 7.0, 20.0, 45.0])
+def test_k_and_x_refuse_untagged_points_on_the_cut(fn, r):
+    # doubles (2.5), mpmath series (7, 20) and asymptotics (45) alike; a
+    # signed zero is not an edge tag (I honours it, see the memo test above)
+    for im in (0.0, -0.0):
+        with pytest.raises(BranchError):
+            fn(P(0.3, 0.27), complex(-r, im))
