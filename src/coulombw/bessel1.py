@@ -15,7 +15,7 @@ import math
 from .branching import ComplexValue, as_cvalue, principal_ln, principal_pow, principal_sqrt, rotate_half_pi
 from .core import EULER_GAMMA, Evaluation, Method, gamma
 from .errors import DomainError
-from .params import SNAP_TOL, WhittakerParams, dist_to_integer
+from .params import SNAP_TOL, WhittakerParams, dist_to_integer, nu_order
 from .whittaker import (
     laguerre,
     whittaker_h,
@@ -180,11 +180,8 @@ class ZeroEnergySolution:
             raise DomainError("kind must be 'j' or 'y'")
         m = complex(m)
         if kind == "y":
-            if abs(m) <= SNAP_TOL:
-                m = 0.0
-            elif abs(abs(m.real) - 0.5) <= SNAP_TOL and abs(m.imag) <= SNAP_TOL:
-                m = 0.5
-            else:
+            m = nu_order(m)
+            if m is None:
                 raise DomainError("zero-energy y is defined for m in {0, 1/2} only")
         self.kind = kind
         self.beta = as_cvalue(beta)

@@ -1,55 +1,36 @@
 """Closed forms for the half-line integrals of products of solutions.
 
-Each function returns the closed-form right-hand side, including the
-printed limiting cases at m in {0, +-1/2} and on the diagonal; the
-verification suites check them against quadrature.  The H^e integrals at
-positive energy are the K integrals continued to k = -e i mu, since
-H^e(2 mu x) = e^{-e i pi (1/2+m)/2} K(2kx; beta/2k) there.
+All but `hankel_norm_sq` and `bessel_x2kk` are one identity: by the
+Lagrange identity (k^2 - p^2) int_0^inf K_k K_p dx, K_k = K(2kx; beta/2k),
+is the Wronskian of the two solutions at 0.  With
+u_s(k) = (2k)^{1/2-s} rgamma(1/2+s-beta/2k) and m generic,
+
+    (k^2 - p^2) int K_k K_p dx = pi/sin(2 pi m) [u_{-m}(k) u_m(p) - u_{-m}(p) u_m(k)];
+
+at m = mm in {0, +-1/2} its limit is (-1)^{2mm} (4kp)^{1/2-mm}
+rgamma(1/2+mm-d_k) rgamma(1/2+mm-d_p) (nu(k) - nu(p)).  `h_cross` is the
+identity at k = -e i mu, `hankel_k_cross` its p -> 0 limit on edge e,
+`bessel_kk` its beta = 0 case, and the norms its diagonal (`spectral._cross`,
+`spectral._norm`).
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 
-from .branching import as_cvalue, principal_ln, principal_pow
-from .core import digamma, rgamma
 from .errors import PreconditionError
-from .params import SNAP_TOL
-from .spectral import _sin_factor, zeta
-
-_PI = math.pi
+from .params import nu_order
+from .spectral import _cancel_safe, _cross, _hankel_norm, _k_of_mu, _norm
 
 
-def _near(a, b, tol=SNAP_TOL) -> bool:
-    return abs(complex(a) - complex(b)) <= tol * max(1.0, abs(complex(a)), abs(complex(b)))
+def _edge(edge: int) -> int:
+    return +1 if edge > 0 else -1
 
 
-def _k_cross(beta, m, k, p) -> complex:
-    """k_cross on Re k, Re p >= 0 (the integral converges for Re k, Re p > 0
-    and continues to the imaginary axis)."""
-    dk = beta / (2 * k)
-    dp = beta / (2 * p)
-    if abs(m) <= SNAP_TOL:
-        return (cmath.sqrt(4 * k * p)
-                * (digamma(0.5 - dk) - digamma(0.5 - dp) + cmath.log(k) - cmath.log(p))
-                * rgamma(0.5 - dp) * rgamma(0.5 - dk))
-    if abs(abs(m.real) - 0.5) <= SNAP_TOL and abs(m.imag) <= SNAP_TOL:
-        return (beta
-                * (0.5 * digamma(1 - dk) + 0.5 * digamma(-dk)
-                   - 0.5 * digamma(1 - dp) - 0.5 * digamma(-dp)
-                   + cmath.log(k) - cmath.log(p))
-                * rgamma(1 - dp) * rgamma(1 - dk))
-    return (_PI / cmath.sin(2 * _PI * m) * cmath.sqrt(4 * k * p)
-            * (principal_pow(k, m) * principal_pow(p, -m)
-               * rgamma(0.5 + m - dp) * rgamma(0.5 - m - dk)
-               - principal_pow(p, m) * principal_pow(k, -m)
-               * rgamma(0.5 + m - dk) * rgamma(0.5 - m - dp)))
-
-
-def _k_norm_sq(beta, m, k) -> complex:
-    d = beta / (2 * k)
-    return zeta(beta, m, k) * rgamma(0.5 + m - d) * rgamma(0.5 - m - d) / k
+def _h_phase(m, e) -> complex:
+    """int H^e_mu H^e_eta dx / int K_k K_p dx at k = -e i mu, p = -e i eta,
+    where H^e(2 mu x) = e^{-e i pi (1/2+m)/2} K(2kx)."""
+    return -e * 1j * cmath.exp(-e * 1j * cmath.pi * m)
 
 
 def k_cross(beta, m, k, p) -> complex:
@@ -57,86 +38,55 @@ def k_cross(beta, m, k, p) -> complex:
     beta, m, k, p = complex(beta), complex(m), complex(k), complex(p)
     if k.real <= 0 or p.real <= 0:
         raise PreconditionError("Re k, Re p must be > 0")
-    return _k_cross(beta, m, k, p)
+    return _cross(beta, m, k, p)
 
 
 def k_norm_sq(beta, m, k) -> complex:
-    """int_0^inf K(2kx; beta/2k)^2 dx, through the zeta normalization."""
+    """int_0^inf K(2kx; beta/2k)^2 dx, the diagonal of the identity."""
     beta, m, k = complex(beta), complex(m), complex(k)
     if k.real <= 0:
         raise PreconditionError("Re k must be > 0")
-    return _k_norm_sq(beta, m, k)
+    return _norm(beta, m, k)
 
 
 def h_cross(beta, m, mu, eta_, edge: int) -> complex:
     """(mu^2 - eta^2) * int H^e(2 mu x) H^e(2 eta x) dx on the strip."""
-    beta, m = complex(beta), complex(m)
-    mu, eta_ = float(mu), float(eta_)
-    e = +1 if edge > 0 else -1
-    if not (0 < mu < e * beta.imag and 0 < eta_ < e * beta.imag):
-        raise PreconditionError("mu, eta must lie in (0, +-Im beta)")
-    return e * 1j * cmath.exp(-e * 1j * _PI * m) * _k_cross(beta, m, -e * 1j * mu, -e * 1j * eta_)
+    beta, m, e = complex(beta), complex(m), _edge(edge)
+    k, p = _k_of_mu(beta, float(mu), e), _k_of_mu(beta, float(eta_), e)
+    return -_h_phase(m, e) * _cross(beta, m, k, p)   # mu^2 - eta^2 = -(k^2 - p^2)
 
 
 def h_norm_sq(beta, m, mu, edge: int) -> complex:
-    """int H^e(2 mu x)^2 dx through the analytically continued zeta."""
-    beta, m = complex(beta), complex(m)
-    mu = float(mu)
-    e = +1 if edge > 0 else -1
-    if not (0 < mu < e * beta.imag):
-        raise PreconditionError("mu must lie in (0, +-Im beta)")
-    return -e * 1j * cmath.exp(-e * 1j * _PI * m) * _k_norm_sq(beta, m, -e * 1j * mu)
+    """int H^e(2 mu x)^2 dx, the diagonal continued to k = -e i mu."""
+    beta, m, e = complex(beta), complex(m), _edge(edge)
+    return _h_phase(m, e) * _norm(beta, m, _k_of_mu(beta, float(mu), e))
 
 
 def hankel_k_cross(beta, m, k, edge: int) -> complex:
     """int (beta x)^{1/4} H^e_{2m}(2 sqrt(beta x)) K(2kx; beta/2k) dx.
 
-    The closed form is the boundary Wronskian of the two solutions divided
-    by the eigenvalue gap k^2 (the Lagrange identity); quadrature confirms
-    the 1/k^2 factor.
+    The identity's p -> 0 case: the boundary Wronskian of the two solutions
+    divided by the eigenvalue gap k^2 (the Lagrange identity).
     """
     beta, m, k = complex(beta), complex(m), complex(k)
-    e = +1 if edge > 0 else -1
     if k.real <= 0:
         raise PreconditionError("Re k must be > 0")
-    d = beta / (2 * k)
-    ld = principal_ln(as_cvalue(d))
-    if abs(m) <= SNAP_TOL:
-        return (-e * 1j / math.sqrt(_PI) * cmath.sqrt(2 * k * beta) * rgamma(0.5 - d)
-                * (digamma(0.5 - d) - ld + e * 1j * _PI)) / (k * k)
-    if abs(abs(m.real) - 0.5) <= SNAP_TOL and abs(m.imag) <= SNAP_TOL:
-        # H_{-1} = -H_1 (DLMF 10.4.6), while K is even in m
-        return ((1 if m.real > 0 else -1) * e * 1j / math.sqrt(_PI) * (2 * k) * rgamma(-d)
-                * (0.5 * digamma(-d) + 0.5 * digamma(1 - d) - ld + e * 1j * _PI)) / (k * k)
-    return (-e * 1j * cmath.sqrt(2 * _PI * k * beta) / cmath.sin(2 * _PI * m)
-            * (cmath.exp(-m * ld) * rgamma(0.5 - m - d)
-               - cmath.exp(-e * 2j * _PI * m) * cmath.exp(m * ld) * rgamma(0.5 + m - d))) / (k * k)
+    return _cross(beta, m, k, 0.0, _edge(edge)) / (k * k)
 
 
 def hankel_norm_sq(beta, m, edge: int) -> complex:
     """int ((beta x)^{1/4} H^e_{2m}(2 sqrt(beta x)))^2 dx."""
-    beta, m = complex(beta), complex(m)
-    e = +1 if edge > 0 else -1
-    return cmath.exp(-e * 2j * _PI * m) / (3 * beta * _sin_factor(m))
+    return _hankel_norm(complex(beta), complex(m), _edge(edge))
 
 
 def bessel_kk(a, b, m) -> complex:
-    """int_0^inf K_m(a x) K_m(b x) dx with all printed limiting cases."""
+    """int_0^inf K_m(a x) K_m(b x) dx: the identity at beta = 0."""
     a, b, m = complex(a), complex(b), complex(m)
     if (a + b).real <= 0:
         raise PreconditionError("Re(a + b) must be > 0")
-    m_zero = abs(m) <= SNAP_TOL
-    diag = _near(a, b)
-    if m_zero and diag:
-        return 1.0 / (_PI * a)
-    if m_zero:
-        return (2 / _PI * (cmath.log(a) - cmath.log(b)) * cmath.sqrt(a) * cmath.sqrt(b)
-                / (a * a - b * b))
-    if diag:
-        return m / (cmath.sin(_PI * m) * a)
-    return ((principal_pow(a, 2 * m) - principal_pow(b, 2 * m))
-            * principal_pow(a, 0.5 - m) * principal_pow(b, 0.5 - m)
-            / (cmath.sin(_PI * m) * (a * a - b * b)))
+    if a == b:
+        return _norm(0.0, m, a)
+    return _cross(0.0, m, a, b) / ((a - b) * (a + b))
 
 
 def bessel_x2kk(a, b, m) -> complex:
@@ -144,20 +94,18 @@ def bessel_x2kk(a, b, m) -> complex:
     a, b, m = complex(a), complex(b), complex(m)
     if (a + b).real <= 0:
         raise PreconditionError("Re(a + b) must be > 0")
-    m_zero = abs(m) <= SNAP_TOL
-    diag = _near(a, b)
-    if m_zero and diag:
-        return 2.0 / (3 * _PI * a ** 3)
-    if diag:
-        return 2 * m * (1 - m * m) / (3 * a ** 3 * cmath.sin(_PI * m))
-    sab = cmath.sqrt(a) * cmath.sqrt(b)
-    if m_zero:
-        return (-8 * sab / (_PI * (b * b - a * a) ** 2)
-                + 8 * sab * (a * a + b * b) * (cmath.log(b) - cmath.log(a))
-                / (_PI * (b * b - a * a) ** 3))
-    am = principal_pow(a, 2 * m)
-    bm = principal_pow(b, 2 * m)
-    return (4 * principal_pow(a, 0.5 - m) * principal_pow(b, 0.5 - m)
-            * ((m - 1) * (am * a * a - bm * b * b)
-               + (m + 1) * a * a * b * b * (bm / (b * b) - am / (a * a)))
-            / (cmath.sin(_PI * m) * (b * b - a * a) ** 3))
+    m_zero = nu_order(m) == 0
+    if a == b:
+        return (1 - m * m) * (2 / cmath.pi if m_zero else 2 * m / cmath.sin(cmath.pi * m)) / (3 * a ** 3)
+
+    def terms(be):
+        ac, bc, m_ = be.c(a), be.c(b), be.c(m)
+        a2, b2, gap3 = ac * ac, bc * bc, ((bc - ac) * (bc + ac)) ** 3
+        la, lb = be.log(ac), be.log(bc)
+        if m_zero:
+            return ((a2 + b2) * lb, -(a2 + b2) * la, a2, -b2), \
+                lambda s: 8 * be.exp((la + lb) / 2) * s / (be.pi * gap3)
+        am, bm = be.exp(2 * m_ * la), be.exp(2 * m_ * lb)
+        return (((m_ - 1) * am * a2, -(m_ - 1) * bm * b2, (m_ + 1) * a2 * bm, -(m_ + 1) * am * b2),
+                lambda s: 4 * be.exp((0.5 - m_) * (la + lb)) * s / (be.sin(be.pi * m_) * gap3))
+    return _cancel_safe(terms)

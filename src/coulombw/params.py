@@ -66,6 +66,17 @@ def dist_to_natural(z: complex) -> float:
     return abs(z - n)
 
 
+def nu_order(m: complex) -> Optional[float]:
+    """The order mm of the nu-families that m snaps to: 0.0 for m = 0, 0.5
+    for m = +-1/2; None for every other (generic) m."""
+    m = complex(m)
+    if abs(m) <= SNAP_TOL:
+        return 0.0
+    if abs(abs(m.real) - 0.5) <= SNAP_TOL and abs(m.imag) <= SNAP_TOL:
+        return 0.5
+    return None
+
+
 def is_integer(z: complex, tol: float = SNAP_TOL) -> bool:
     return dist_to_integer(complex(z)) <= tol
 

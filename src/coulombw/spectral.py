@@ -21,15 +21,15 @@ import mpmath as mp
 from .branching import as_cvalue, principal_ln, principal_pow, lower_edge, upper_edge
 from .core import EULER_GAMMA, digamma, gamma, is_nonpositive_int, rgamma, trigamma
 from .errors import PreconditionError, SpectrumHit
-from .params import SNAP_TOL, WhittakerParams, dist_to_natural
-from .whittaker import _memo, _rerun_dps, whittaker_h, whittaker_i_ext, whittaker_k, whittaker_x
+from .params import SNAP_TOL, WhittakerParams, dist_to_natural, nu_order
+from .whittaker import _FB, _MB, _memo, _rerun_dps, whittaker_i_ext, whittaker_k, whittaker_x
 from .bessel1 import bessel1_h
 
 INFINITY = complex(math.inf, 0.0)
 
 _SPECTRUM_TOL = 1e-12
 _LATTICE_TOL = 1e-10
-_ZETA_CANCEL = 30.0   # zeta's sum is redone in mpmath beyond this cancellation
+_CANCEL = 30.0   # a sum is redone in mpmath beyond this cancellation (_cancel_safe)
 
 
 def is_infinite(v) -> bool:
@@ -60,14 +60,11 @@ class BoundaryCondition:
         if self.family is Family.GENERIC:
             if abs(m.real) >= 1:
                 raise PreconditionError("generic family needs |Re m| < 1")
-            if min(abs(m), abs(m - 0.5), abs(m + 0.5)) <= SNAP_TOL:
+            if nu_order(m) is not None:
                 raise PreconditionError("m in {-1/2, 0, 1/2} belongs to the nu-families")
-        elif self.family is Family.NU_ZERO:
-            if abs(m) > SNAP_TOL:
-                raise PreconditionError("nu-zero family requires m = 0")
-        else:
-            if abs(abs(m.real) - 0.5) > SNAP_TOL or abs(m.imag) > SNAP_TOL:
-                raise PreconditionError("nu-half family requires m = +-1/2")
+        elif nu_order(m) != _order(self.family):
+            raise PreconditionError("%s family requires |m| = %g"
+                                    % (self.family.value, _order(self.family)))
 
 
 class Regime(Enum):
@@ -196,14 +193,19 @@ def _edge_ln(beta, edge: int) -> complex:
     return principal_ln(bv)
 
 
+def _k_of_mu(beta: complex, mu: float, edge: int) -> complex:
+    """k = -e i mu, where the k-forms give lambda = mu^2 + e i0, for mu in
+    the strip (0, e Im beta) of edge e."""
+    e = +1 if edge > 0 else -1
+    if not 0 < mu < e * beta.imag:
+        raise PreconditionError("need 0 < mu < +-Im(beta) matching the edge")
+    return -e * 1j * mu
+
+
 def positive_energy_condition(family: Family, beta, m, mu: float, edge: int) -> complex:
     """kappa or nu putting lambda = mu^2 +- i0 in the point spectrum."""
     beta, m = complex(beta), complex(m)
-    e = +1 if edge > 0 else -1
-    mu = float(mu)
-    if not (0 < mu < e * beta.imag):
-        raise PreconditionError("need 0 < mu < +-Im(beta) matching the edge")
-    k = -e * 1j * mu
+    k = _k_of_mu(beta, float(mu), edge)
     if family is Family.GENERIC:
         return _kappa(beta, m, k)
     return _nu(_order(family), beta, k)
@@ -223,11 +225,9 @@ def zero_energy_condition(family: Family, beta, m, edge: int) -> complex:
     sq_im = (cmath.exp(0.5 * lnb)).imag
     if not e * sq_im > 0:
         raise PreconditionError("need +-Im sqrt(beta) > 0 matching the edge")
-    # the k -> 0 limit of S along k = -e i mu: psi(1/2 +- mm - d) + ln 2k
-    # -> ln(-beta) = ln beta - e i pi
-    mm = _order(family)
-    s = lnb + 2 * EULER_GAMMA - 2 * mm - e * 1j * cmath.pi
-    return -bc * s if mm else s
+    # nu = A/B of the zero-energy coordinates
+    a, b = _coords(_FB, _order(family), bc, m, 0.0, e)
+    return a / b
 
 
 def _inv_nu(mm, beta, k) -> complex:
@@ -311,6 +311,21 @@ def xi_zero(beta, nu, k) -> complex:
     return -_omega(0.0, beta, nu, k, at_minus_d=True)[0]
 
 
+def _cancel_safe(terms_of):
+    """finish(sum(terms)) for (terms, finish) = terms_of(backend), in doubles;
+    where the terms are more than _CANCEL times their sum, redone in mpmath
+    at the digits that measured cancellation needs."""
+    terms, finish = terms_of(_FB)
+    total = sum(terms)
+    size = sum(abs(t) for t in terms)
+    if size > _CANCEL * abs(total):
+        dps = _rerun_dps(size / max(abs(total), 1e-300))
+        with mp.workdps(dps):
+            terms, finish = terms_of(_MB(dps))
+            return complex(finish(sum(terms)))
+    return finish(total)
+
+
 @_memo
 def zeta(beta, m, k) -> complex:
     """Normalization function for the eigenprojections; even in m.
@@ -318,25 +333,21 @@ def zeta(beta, m, k) -> complex:
     Analytic in k, so the positive-energy values are obtained by feeding
     k = -+ i mu.  Near m in {0, +-1/2} the continuous trigamma extensions
     are used.  For generic m the sum 2m + d psi(1/2+m-d) - d psi(1/2-m-d)
-    cancels where |d| = |beta/2k| is large; beyond _ZETA_CANCEL it is
-    recomputed in mpmath at the precision the measured cancellation needs.
+    cancels where |d| = |beta/2k| is large; it goes through _cancel_safe.
     """
     beta, m, k = complex(beta), complex(m), complex(k)
     d = beta / (2 * k)
-    if abs(m) <= SNAP_TOL:
+    mm = nu_order(m)
+    if mm == 0:
         return 1 + d * trigamma(0.5 - d)
-    if abs(abs(m) - 0.5) <= SNAP_TOL and abs(m.imag) <= SNAP_TOL:
+    if mm:
         return -(1 + d / 2 * trigamma(1 - d) + d / 2 * trigamma(-d))
-    p_plus = d * digamma(0.5 + m - d)
-    p_minus = d * digamma(0.5 - m - d)
-    total = 2 * m + p_plus - p_minus
-    size = abs(2 * m) + abs(p_plus) + abs(p_minus)
-    if size > _ZETA_CANCEL * abs(total):
-        with mp.workdps(_rerun_dps(size / max(abs(total), 1e-300))):
-            dm, mm = mp.mpc(beta) / (2 * mp.mpc(k)), mp.mpc(m)
-            return complex(mp.pi * (2 * mm + dm * mp.digamma(0.5 + mm - dm)
-                                    - dm * mp.digamma(0.5 - mm - dm)) / mp.sin(2 * mp.pi * mm))
-    return cmath.pi * total / cmath.sin(2 * cmath.pi * m)
+
+    def terms(be):
+        dm, mc = be.c(beta) / (2 * be.c(k)), be.c(m)
+        return ((2 * mc, dm * be.digamma(0.5 + mc - dm), -dm * be.digamma(0.5 - mc - dm)),
+                lambda s: be.pi * s / be.sin(2 * be.pi * mc))
+    return _cancel_safe(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -412,60 +423,131 @@ def resolvent_kernel(q: KernelQuery) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# eigenprojection kernels
+# the Wronskian identity: integrals of products of solutions and the
+# eigenprojection norms
+#
+# By the Lagrange identity (k^2 - p^2) int_0^inf K_k K_p dx, with
+# K_k = K(2kx; beta/2k), is the Wronskian of the two solutions at 0.  In
+# boundary-condition coordinates (A, B) of K_k it is C (A(k) B(p) - A(p) B(k)):
+#   generic m:  A = u_{-m}, B = u_m, u_s(k) = (2k)^{1/2-s} rgamma(1/2+s-d),
+#               C = pi / sin(2 pi m);
+#   m = mm in {0, +-1/2} (the nu-families' orders):
+#               B = (2k)^{1/2-mm} rgamma(1/2+mm-d), A = nu(k) B, C = (-1)^{2mm}.
+# B/A is the condition map up to a constant, so a cross integral is a
+# difference of the condition map and the norm int K_k^2 dx is its
+# k-derivative (the diagonal).  Every piece is an entire product
+# (rgamma psi, rgamma^2 psi'), finite on the Laguerre lattice.
 
-def _sin_factor(m: complex) -> complex:
-    """sin(2 pi m) / (m (4m^2 - 1)) with the continuous extensions."""
-    if abs(m) <= SNAP_TOL:
-        return -2 * cmath.pi
-    if abs(abs(m) - 0.5) <= SNAP_TOL and abs(m.imag) <= SNAP_TOL:
-        return -cmath.pi
-    return cmath.sin(2 * cmath.pi * m) / (m * (4 * m * m - 1))
+def _rgamma_psi(be, z, j=0):
+    """rgamma(z)^{j+1} psi^{(j)}(z) for j in {0, 1}: entire, with the value
+    (-1)^{(n+1)(j+1)} n!^{j+1} at z = -n."""
+    if is_nonpositive_int(complex(z)):
+        n = -round(complex(z).real)
+        return be.c((-1) ** ((n + 1) * (j + 1)) * math.factorial(n) ** (j + 1))
+    return be.rgamma(z) ** (j + 1) * (be.trigamma(z) if j else be.digamma(z))
 
 
-def _projection_c(beta, m, k) -> complex:
-    """k Gamma(1/2+m-d) Gamma(1/2-m-d) / zeta(k), d = beta/2k: P / (K K)."""
+def _coords(be, mm, beta, m, k, e=0):
+    """Boundary-condition coordinates (A(k), B(k)) of K_k.  k = 0 on edge e
+    is the zero-energy limit, with K_0 = (beta x)^{1/4} H^e_{2m}(2 sqrt(beta x)),
+    u_s(0) = e^{-e i pi m} (-beta)^{1/2-s} / sqrt(pi) and nu(0) =
+    w (ln(-beta) + 2 gamma - 2mm), the limit of S along k = -e i mu."""
+    if e:
+        lb = be.log(-beta)
+        ph = cmath.exp(-e * 1j * math.pi * complex(m)) / math.sqrt(math.pi)
+        if mm is None:
+            return ph * be.exp((0.5 + m) * lb), ph * be.exp((0.5 - m) * lb)
+        nu0, b = lb + 2 * EULER_GAMMA - 2 * mm, ph * be.exp((0.5 - mm) * lb)
+        return (-beta * nu0 if mm else nu0) * b, b
     d = beta / (2 * k)
-    return k * gamma(0.5 + m - d) * gamma(0.5 - m - d) / zeta(beta, m, k)
+    lk = be.log(2 * k)
+    if mm is None:
+        return (be.exp((0.5 + m) * lk) * be.rgamma(0.5 - m - d),
+                be.exp((0.5 - m) * lk) * be.rgamma(0.5 + m - d))
+    z = 0.5 + mm - d
+    g = be.rgamma(z)
+    # rgamma(z) S(d), less the 1/2d that psi(-d) = psi(1-d) + 1/d adds at
+    # mm = 1/2, where w = -beta turns it into -k rgamma(z)
+    gs = _rgamma_psi(be, z) + g * (2 * EULER_GAMMA - 2 * mm + lk)
+    a = be.exp((0.5 - mm) * lk)
+    return a * (-beta * gs - k * g if mm else gs), a * g
+
+
+def _cross(beta, m, k, p, edge=0) -> complex:
+    """(k^2 - p^2) int_0^inf K_k K_p dx; p = 0 with edge e is the zero-energy
+    limit.  The difference goes through _cancel_safe."""
+    if p == k and not edge:
+        return 0j   # antisymmetric; _cancel_safe would seek the exact zero at ~320 digits
+    mm = nu_order(m)
+
+    def terms(be):
+        b, mc = be.c(beta), be.c(m)
+        c = be.pi / be.sin(2 * be.pi * mc) if mm is None else (-1.0) ** (2 * mm)
+        ak, bk = _coords(be, mm, b, mc, be.c(k))
+        ap, bp = _coords(be, mm, b, mc, be.c(p), edge)
+        return (c * ak * bp, -c * ap * bk), lambda s: s
+    return _cancel_safe(terms)
+
+
+@_memo
+def _norm(beta, m, k) -> complex:
+    """int_0^inf K_k^2 dx = C (A' B - A B')(k) / 2k, the diagonal of _cross."""
+    mm = nu_order(m)
+
+    def terms(be):
+        kc, mc = be.c(k), be.c(m)
+        d = be.c(beta) / (2 * kc)
+        if mm is None:
+            gp, gm = be.rgamma(0.5 + mc - d), be.rgamma(0.5 - mc - d)
+            return ((2 * mc * gp * gm, d * _rgamma_psi(be, 0.5 + mc - d) * gm,
+                     -d * gp * _rgamma_psi(be, 0.5 - mc - d)),
+                    lambda s: be.pi * s / (be.sin(2 * be.pi * mc) * kc))
+        # (-1)^{2mm} B^2 nu'(k) / 2k; at mm = 1/2, psi'(-d) = psi'(1-d) + 1/d^2
+        g2, t = be.rgamma(0.5 + mm - d) ** 2, _rgamma_psi(be, 0.5 + mm - d, 1)
+        w = d if mm else 1
+        return (w * g2, w * d * t, mm * g2), lambda s: s / kc
+    return _cancel_safe(terms)
+
+
+def _hankel_norm(beta, m, e) -> complex:
+    """int ((beta x)^{1/4} H^e_{2m}(2 sqrt(beta x)))^2 dx."""
+    mm = nu_order(m)
+    # sin(2 pi m) / (m (4m^2 - 1)), continued to -2 pi at m = 0 and -pi at +-1/2
+    sf = (cmath.sin(2 * cmath.pi * m) / (m * (4 * m * m - 1)) if mm is None
+          else -2 * cmath.pi * (1 - mm))
+    return cmath.exp(-e * 2j * cmath.pi * m) / (3 * beta * sf)
 
 
 def projection_kernel(p: WhittakerParams, pt: SpectralPoint, x: float, y: float) -> complex:
-    """Rank-one eigenprojection kernel P(lambda; x, y), bilinear-normalized."""
+    """Rank-one eigenprojection kernel P(lambda; x, y) = f(x) f(y) / int f^2,
+    bilinear-normalized, f the eigenfunction of the regime."""
     beta, m = complex(p.beta), complex(p.m)
     if not (x > 0 and y > 0):
         raise PreconditionError("x, y must be > 0")
-    if pt.regime is Regime.NEGATIVE:
-        k = complex(pt.k_or_mu)
-        _check_re_k(k)
+    if pt.regime is not Regime.ZERO:
+        # positive energy is the k-form at k = -e i mu, where K(2kx) is
+        # H^e(2 mu x) up to a constant phase that f f / norm cancels
+        if pt.regime is Regime.NEGATIVE:
+            k = complex(pt.k_or_mu)
+            _check_re_k(k)
+        else:
+            k = _k_of_mu(beta, float(complex(pt.k_or_mu).real),
+                         +1 if pt.regime is Regime.POSITIVE_UPPER else -1)
         pw = WhittakerParams(beta / (2 * k), m)
-        c = _projection_c(beta, m, k)
-        return c * whittaker_k(pw, 2 * k * x).value * whittaker_k(pw, 2 * k * y).value
-    if pt.regime in (Regime.POSITIVE_UPPER, Regime.POSITIVE_LOWER):
-        e = +1 if pt.regime is Regime.POSITIVE_UPPER else -1
-        mu = float(complex(pt.k_or_mu).real)
-        if not (0 < mu < e * beta.imag):
-            raise PreconditionError("mu outside the admissible strip")
-        # the k-form at k = -e i mu, where K(2kx) = e^{e i pi (1/2+m)/2} H^e(2 mu x)
-        pw = WhittakerParams(beta / (2 * mu), m)
-        c = e * 1j * cmath.exp(e * 1j * cmath.pi * m) * _projection_c(beta, m, -e * 1j * mu)
-        hx = whittaker_h(pw, e, 2 * mu * x).value
-        hy = whittaker_h(pw, e, 2 * mu * y).value
-        return c * hx * hy
-    # zero energy
-    bv = as_cvalue(beta)
-    if bv.on_cut:
-        e, sq = +1, 1j * math.sqrt(-bv.re)
+        f = lambda t: whittaker_k(pw, 2 * k * t).value
+        norm = _norm(beta, m, k)
     else:
-        if beta == 0 or (beta.imag == 0 and beta.real > 0):
-            raise PreconditionError("lambda = 0 needs beta outside [0, inf)")
-        sq = cmath.sqrt(beta)
-        e = +1 if sq.imag > 0 else -1
-    c = 3 * cmath.exp(e * 2j * cmath.pi * m) * beta * _sin_factor(m)
-    wx = 2 * sq * math.sqrt(x)
-    wy = 2 * sq * math.sqrt(y)
-    hx = (beta * x) ** 0.25 * bessel1_h(2 * m, e, wx).value
-    hy = (beta * y) ** 0.25 * bessel1_h(2 * m, e, wy).value
-    return c * hx * hy
+        bv = as_cvalue(beta)
+        if bv.on_cut:
+            e, sq = +1, 1j * math.sqrt(-bv.re)
+        else:
+            if beta == 0 or (beta.imag == 0 and beta.real > 0):
+                raise PreconditionError("lambda = 0 needs beta outside [0, inf)")
+            sq = cmath.sqrt(beta)
+            e = +1 if sq.imag > 0 else -1
+        f = lambda t: (beta * t) ** 0.25 * bessel1_h(2 * m, e, 2 * sq * math.sqrt(t)).value
+        norm = _hankel_norm(beta, m, e)
+    return f(x) * f(y) / norm
 
 
 # ---------------------------------------------------------------------------

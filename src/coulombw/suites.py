@@ -22,7 +22,7 @@ from .quadrature import quad_halfline, quad_ray
 from .spectral import (BoundaryCondition, Family, INFINITY, Regime, SpectralPoint,
                        blowup_kappa0, blowup_kappa_half, is_self_adjoint, kappa_of_k,
                        nu_half_of_k, nu_zero_of_k, omega_generic, omega_half,
-                       omega_zero, projection_kernel, zeta)
+                       omega_zero, projection_kernel)
 from .whittaker import whittaker_h, whittaker_i, whittaker_k, whittaker_x
 
 
@@ -231,7 +231,9 @@ def _case_hankel_norm(rng, m_kind: str):
     return "hankel_norm_" + m_kind, _rel(quad, hankel_norm_sq(beta, m, e)), 1e-5
 
 
-def _case_bessel_kk(rng, variant: str):
+def _case_bessel(rng, variant: str, closed_form, weight):
+    """int weight(x) K_m(a x) K_m(b x) dx against bessel_kk (weight 1) or
+    bessel_x2kk (weight x^2)."""
     m = _draw_m_generic(rng, 0.1, 0.45)
     a = rng.uniform(0.7, 1.6)
     b = rng.uniform(0.7, 1.6)
@@ -243,26 +245,9 @@ def _case_bessel_kk(rng, variant: str):
         m, b = 0.0, a
     elif abs(a - b) < 0.2:
         b = a + 0.4
-    f = lambda x: bessel1_k(m, a * x).value * bessel1_k(m, b * x).value
+    f = lambda x: weight(x) * bessel1_k(m, a * x).value * bessel1_k(m, b * x).value
     quad = quad_halfline(f, tol=3e-9).value
-    return "bessel_kk_" + variant, _rel(quad, bessel_kk(a, b, m)), 1e-7
-
-
-def _case_bessel_x2kk(rng, variant: str):
-    m = _draw_m_generic(rng, 0.1, 0.45)
-    a = rng.uniform(0.7, 1.6)
-    b = rng.uniform(0.7, 1.6)
-    if variant == "m0":
-        m = 0.0
-    elif variant == "diag":
-        b = a
-    elif variant == "both":
-        m, b = 0.0, a
-    elif abs(a - b) < 0.2:
-        b = a + 0.4
-    f = lambda x: x * x * bessel1_k(m, a * x).value * bessel1_k(m, b * x).value
-    quad = quad_halfline(f, tol=3e-9).value
-    return "bessel_x2kk_" + variant, _rel(quad, bessel_x2kk(a, b, m)), 1e-7
+    return closed_form.__name__ + "_" + variant, _rel(quad, closed_form(a, b, m)), 1e-7
 
 
 _INTEGRAL_CYCLE = [
@@ -283,14 +268,14 @@ _INTEGRAL_CYCLE = [
     lambda rng: _case_hankel_cross(rng, "half"),
     lambda rng: _case_hankel_norm(rng, "generic"),
     lambda rng: _case_hankel_norm(rng, "zero"),
-    lambda rng: _case_bessel_kk(rng, "generic"),
-    lambda rng: _case_bessel_kk(rng, "m0"),
-    lambda rng: _case_bessel_kk(rng, "diag"),
-    lambda rng: _case_bessel_kk(rng, "both"),
-    lambda rng: _case_bessel_x2kk(rng, "generic"),
-    lambda rng: _case_bessel_x2kk(rng, "m0"),
-    lambda rng: _case_bessel_x2kk(rng, "diag"),
-    lambda rng: _case_bessel_x2kk(rng, "both"),
+    lambda rng: _case_bessel(rng, "generic", bessel_kk, lambda x: 1.0),
+    lambda rng: _case_bessel(rng, "m0", bessel_kk, lambda x: 1.0),
+    lambda rng: _case_bessel(rng, "diag", bessel_kk, lambda x: 1.0),
+    lambda rng: _case_bessel(rng, "both", bessel_kk, lambda x: 1.0),
+    lambda rng: _case_bessel(rng, "generic", bessel_x2kk, lambda x: x * x),
+    lambda rng: _case_bessel(rng, "m0", bessel_x2kk, lambda x: x * x),
+    lambda rng: _case_bessel(rng, "diag", bessel_x2kk, lambda x: x * x),
+    lambda rng: _case_bessel(rng, "both", bessel_x2kk, lambda x: x * x),
 ]
 
 
@@ -336,15 +321,13 @@ def run_projections(cases: int = 0, seed: int = 0) -> List[CaseResult]:
             # the middle-variable integrand oscillates with polynomial
             # decay, so the z-integral runs along a rotated ray; the
             # rank-one structure P(x,z)P(z,y) = P(x,y) * [c * H(z)^2]
-            # reduces idempotency to c * int H^2 = 1
+            # reduces idempotency to c * int H^2 = 1, with c the kernel's
+            # own constant P(x,y) / (H(x) H(y))
             mu = float(complex(pt.k_or_mu).real)
-            d = beta / (2 * mu)
-            c = (cmath.exp(1j * cmath.pi * m) * mu
-                 * gamma(0.5 + m - 1j * d) * gamma(0.5 - m - 1j * d)
-                 / zeta(beta, m, -1j * mu))
-            pm = WhittakerParams(d, m)
-            f = lambda z: whittaker_h(pm, +1, 2 * mu * z).value ** 2
-            quad = c * quad_ray(f, angle=math.pi / 4, tol=3e-7).value
+            pm = WhittakerParams(beta / (2 * mu), m)
+            h = lambda z: whittaker_h(pm, +1, 2 * mu * z).value
+            c = pxy / (h(x_pt) * h(y_pt))
+            quad = c * quad_ray(lambda z: h(z) ** 2, angle=math.pi / 4, tol=3e-7).value
             dev = abs(quad - 1.0)
             tol_i = 1e-5
         else:

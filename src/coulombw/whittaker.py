@@ -40,7 +40,7 @@ import mpmath as mp
 
 from .branching import (Branch, ComplexValue, _check_cut, as_cvalue, principal_ln, principal_pow,
                         rotate_half_pi, rotate_pi)
-from .core import Evaluation, Method, digamma, gamma, rgamma
+from .core import Evaluation, Method, digamma, gamma, rgamma, trigamma
 from .errors import DomainError, NonConvergenceError
 from .params import SNAP_TOL, WARN_TOL, WhittakerParams, dist_to_integer, dist_to_natural
 
@@ -118,8 +118,10 @@ class _FB:
 
     pi = math.pi
 
+    log = staticmethod(cmath.log)
     rgamma = staticmethod(rgamma)
     digamma = staticmethod(digamma)
+    trigamma = staticmethod(trigamma)
 
     @staticmethod
     def ln_tagged(zv: ComplexValue):
@@ -167,6 +169,12 @@ class _MB:
     @staticmethod
     def digamma(x):
         return mp.digamma(x)
+
+    @staticmethod
+    def trigamma(x):
+        return mp.psi(1, x)
+
+    log = staticmethod(mp.log)
 
     @staticmethod
     def ln_tagged(zv: ComplexValue):
